@@ -125,7 +125,7 @@ let run_schedule ?(faults = []) ?alphabet ~tree ~seed ~ops () =
   let oracle = ref KMap.empty in
   let applied = ref 0 and injected = ref 0 and validations = ref 0 in
   (* A fraction of schedules exercise the batched entry points
-     (lookup_batch / insert_batch / delete_batch) and seed the index
+     (lookup_into / insert_batch / delete_batch) and seed the index
      through the bottom-up bulk loader instead of one-at-a-time
      inserts, so the access-path layer sees the same fault plans and
      oracle discipline as the classic operations. *)
@@ -272,17 +272,16 @@ let run_schedule ?(faults = []) ?alphabet ~tree ~seed ~ops () =
   in
   let batch_lookup ~op () =
     let keys = batch_of_pool () in
-    match attempt (fun () -> ix.Index.lookup_batch keys) with
-    | Ok res ->
+    let out = Array.make (Array.length keys) 0 in
+    match attempt (fun () -> ix.Index.lookup_into keys out) with
+    | Ok () ->
         Array.iteri
           (fun i got ->
-            let want = KMap.find_opt keys.(i) !oracle in
-            if not (rid_opt_eq got want) then
-              fail ~op "lookup_batch slot %d (%s) returned %s, oracle says %s" i
-                (Key.to_hex keys.(i))
-                (match got with None -> "None" | Some r -> string_of_int r)
-                (match want with None -> "None" | Some r -> string_of_int r))
-          res
+            let want = Option.value (KMap.find_opt keys.(i) !oracle) ~default:(-1) in
+            if got <> want then
+              fail ~op "lookup_into slot %d (%s) returned %d, oracle says %d" i
+                (Key.to_hex keys.(i)) got want)
+          out
     | Error _ ->
         incr injected;
         deep_validate ~op ()

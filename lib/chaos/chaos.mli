@@ -57,7 +57,7 @@ val run_schedule :
 
     A seed-derived fraction of schedules also covers the batched
     access-path layer: half route a quarter of their operations through
-    [lookup_batch] / [insert_batch] / [delete_batch] (results checked
+    [lookup_into] / [insert_batch] / [delete_batch] (results checked
     slot by slot against the oracle, aborts checked for all-or-nothing
     unwinding), and a quarter seed the index through the bottom-up bulk
     loader [of_sorted] with faults armed (an aborted bulk load must

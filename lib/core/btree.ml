@@ -2,7 +2,6 @@ module Mem = Pk_mem.Mem
 module Fault = Pk_fault.Fault
 module Key = Pk_keys.Key
 module Record_store = Pk_records.Record_store
-module Partial_key = Pk_partialkey.Partial_key
 module Node_search = Pk_partialkey.Node_search
 module Counters = Engine.Counters
 module Scratch = Engine.Scratch
@@ -25,8 +24,7 @@ type t = {
   records : Record_store.t;
   cfg : config;
   ec : Entries.ctx;
-  sc : Scratch.t;
-  aim : Entries.aim; (* (node, probe) the reusable entry_ops reads *)
+  sc : Scratch.t; (* also aims the reusable entry_ops at (node, probe) *)
   leaf_max : int;
   internal_max : int;
   child_base : int; (* offset of the child-pointer array within a node *)
@@ -64,7 +62,6 @@ let create mem records cfg =
     ec =
       Entries.make ~name:"Btree" ~reg ~records ~scheme:cfg.scheme ~entries_at (Counters.create ());
     sc = Scratch.create ();
-    aim = Entries.make_aim ();
     leaf_max;
     internal_max;
     child_base = entries_at + (internal_max * esz);
@@ -88,7 +85,6 @@ let cnt t = t.ec.Entries.cnt
 let deref_count t = (cnt t).Counters.derefs
 let node_visits t = (cnt t).Counters.visits
 let reset_counters t = Counters.reset (cnt t)
-let visit t node = Counters.visit (cnt t) node
 
 let[@pklint.hot] route_ev t node ci =
   Obs.Trace.emit (cnt t).Counters.trace Obs.Trace.k_route node ci
@@ -281,79 +277,28 @@ let insert t key ~rid =
       if ok then t.n_keys <- t.n_keys + 1;
       ok)
 
-(* {2 Lookup} *)
+(* {2 Lookup hooks}
 
-(* One entry_ops per tree, re-aimed via [t.aim]. *)
-let batch_ops t =
-  match t.bops with
-  | Some ops -> ops
-  | None ->
-      let ops = Entries.make_ops t.ec t.aim ~shift:0 in
-      t.bops <- Some ops;
-      ops
-
-let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
-
-(* FINDBTREE (Fig. 8): descend with FINDNODE per node. *)
-let lookup_partial t search =
-  let find = find_fn t in
-  let rel0, off0 = Partial_key.initial_state (Entries.granularity t.ec) search in
-  let ops = batch_ops t in
-  t.aim.Entries.search <- search;
-  let rec go node rel off =
-    visit t node;
-    t.aim.Entries.node <- node;
-    ops.Node_search.num_keys <- num_keys t node;
-    let r = find ops ~rel0:rel ~off0:off in
-    if r.Node_search.low = r.Node_search.high then Some (rec_ptr t node r.Node_search.low)
-    else if is_leaf t node then None
-    else begin
-      let rel' = if r.Node_search.low = -1 then rel else Key.Gt in
-      route_ev t node r.Node_search.high;
-      go (child t node r.Node_search.high) rel' r.Node_search.off_low
-    end
-  in
-  if t.root = null then None else go t.root rel0 off0
-
-(* Direct / indirect lookup: binary search per node. *)
-let lookup_plain t search =
-  let rec node_search node lo hi =
-    if lo >= hi then `Child lo
-    else
-      let mid = (lo + hi) / 2 in
-      match Entries.probe_cmp t.ec node search mid with
-      | Key.Eq -> `Found (rec_ptr t node mid)
-      | Key.Lt -> node_search node lo mid
-      | Key.Gt -> node_search node (mid + 1) hi
-  in
-  let rec go node =
-    visit t node;
-    match node_search node 0 (num_keys t node) with
-    | `Found rid -> Some rid
-    | `Child i ->
-        if is_leaf t node then None
-        else begin
-          route_ev t node i;
-          go (child t node i)
-        end
-  in
-  if t.root = null then None else go t.root
-
-let lookup t search =
-  match t.cfg.scheme with
-  | Layout.Partial _ -> lookup_partial t search
-  | Layout.Direct _ | Layout.Indirect -> lookup_plain t search
-
-(* {2 Batched lookup hooks (group descent)}
-
-   The engine ({!module:Engine.Group}) sorts the batch and descends it
-   as contiguous per-child runs; the router below supplies only the
+   FINDBTREE (Fig. 8) is the engine's descent ({!module:Engine.Group}):
+   a batch is sorted and descended as contiguous per-child runs, a
+   single key as a one-probe batch; the router below supplies only the
    per-probe in-node resolution.  For the direct and indirect schemes
    everything is sign-only comparisons ({!val:Mem.compare_sign}) — a
    steady-state batch performs no heap allocation per probe.  The
    partial-key path reuses one mutable {!type:Node_search.entry_ops}
    re-aimed at each (node, probe); only FINDNODE's result records and
    comparison pairs are allocated. *)
+
+(* One entry_ops per tree, re-aimed via the scratch cursor. *)
+let batch_ops t =
+  match t.bops with
+  | Some ops -> ops
+  | None ->
+      let ops = Entries.make_ops t.ec t.sc ~shift:0 in
+      t.bops <- Some ops;
+      ops
+
+let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
 
 (* Binary search for [probe]; [lnot pos] (negative) encodes an exact
    match at [pos], a non-negative result is the child slot. *)
@@ -374,10 +319,9 @@ let router t =
       let common route leaf_probe =
         {
           Group.sc;
-          is_leaf = is_leaf t;
-          num_keys = num_keys t;
-          child = child t;
-          visit = visit t;
+          cnt = cnt t;
+          is_leaf = (fun node -> is_leaf t node);
+          num_keys = (fun node -> num_keys t node);
           route;
           leaf_probe;
         }
@@ -392,7 +336,10 @@ let router t =
                   sc.Scratch.out.(slot) <- rec_ptr t node (lnot r);
                   -1
                 end
-                else r)
+                else begin
+                  route_ev t node r;
+                  child t node r
+                end)
               (fun node n slot ->
                 let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
                 sc.Scratch.out.(slot) <- (if r < 0 then rec_ptr t node (lnot r) else -1))
@@ -402,8 +349,11 @@ let router t =
             (* Re-aim the shared ops at (node, probe) and run FINDNODE
                from the probe's accumulated descent state. *)
             let resolve node n slot =
-              t.aim.Entries.node <- node;
-              t.aim.Entries.search <- sc.Scratch.keys.(slot);
+              let key = sc.Scratch.keys.(slot) in
+              sc.Scratch.node <- node;
+              (* A probe keeps its key all the way down: one write
+                 barrier per descent, not per node. *)
+              if sc.Scratch.probe != key then sc.Scratch.probe <- key;
               ops.Node_search.num_keys <- n;
               find ops ~rel0:sc.Scratch.rel.(slot) ~off0:sc.Scratch.off.(slot)
             in
@@ -418,7 +368,8 @@ let router t =
                   (* FINDBTREE child-state update (Fig. 8). *)
                   if r.Node_search.low <> -1 then sc.Scratch.rel.(slot) <- Key.Gt;
                   sc.Scratch.off.(slot) <- r.Node_search.off_low;
-                  r.Node_search.high
+                  route_ev t node r.Node_search.high;
+                  child t node r.Node_search.high
                 end)
               (fun node n slot ->
                 let r = resolve node n slot in
@@ -847,24 +798,17 @@ module Structure = struct
   let save = save
   let restore = restore
   let insert = insert
-  let lookup = lookup
   let delete = delete
 
   let prepare_batch t keys n =
-    let sc = t.sc in
-    sc.Scratch.perm <- Engine.ensure_int sc.Scratch.perm n;
-    if is_partial t then begin
-      sc.Scratch.rel <- Engine.ensure_cmp sc.Scratch.rel n;
-      sc.Scratch.off <- Engine.ensure_int sc.Scratch.off n;
-      let g = Entries.granularity t.ec in
-      for i = 0 to n - 1 do
-        let rel, off = Partial_key.initial_state g keys.(i) in
-        sc.Scratch.rel.(i) <- rel;
-        sc.Scratch.off.(i) <- off
-      done
-    end
+    Scratch.grow_perm t.sc n;
+    if is_partial t then Scratch.seed_findnode t.sc (Entries.granularity t.ec) keys n
 
   let descend t n = Group.drive (router t) t.root 0 n
+  let descend_one t slot =
+    if is_partial t then
+      Scratch.seed_findnode t.sc (Entries.granularity t.ec) t.sc.Scratch.keys (slot + 1);
+    Group.drive1 (router t) t.root slot
 
   let check_load_key t k =
     match t.cfg.scheme with
@@ -905,7 +849,6 @@ module Structure = struct
         Entries.make ~name:"Btree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
           (Counters.create ());
       sc = Scratch.create ();
-      aim = Entries.make_aim ();
       bops = None;
       router = None;
     }

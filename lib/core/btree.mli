@@ -53,7 +53,10 @@ val insert : t -> Pk_keys.Key.t -> rid:int -> bool
     must equal the configured one. *)
 
 val lookup : t -> Pk_keys.Key.t -> int option
-(** Record address of the exact key, if present. *)
+(** Record address of the exact key, if present: a one-probe
+    {!lookup_into} (FINDBTREE, Fig. 8) through the same per-node hooks
+    as a batch, so its dereference and visit counts are a one-key
+    batch's. *)
 
 val delete : t -> Pk_keys.Key.t -> bool
 (** Removes the key; [false] when absent. *)
@@ -70,10 +73,8 @@ val lookup_into : t -> Pk_keys.Key.t array -> int array -> unit
     Steady-state calls perform no per-probe heap allocation for the
     [Direct]/[Indirect] schemes.  Counter semantics are preserved:
     dereference counts equal the sum over probes of the single-lookup
-    cost, node visits are counted once per (node, batch). *)
-
-val lookup_batch : t -> Pk_keys.Key.t array -> int option array
-(** Allocating wrapper over {!lookup_into}. *)
+    cost, node visits are counted once per (node, batch).  A one-key
+    batch skips the sort and descends its probe alone. *)
 
 val insert_batch : t -> Pk_keys.Key.t array -> rids:int array -> bool array
 (** Apply the inserts in sorted key order under one unwind scope:

@@ -9,6 +9,12 @@
    rebuilt into the uniform closure record {!type:ops} by
    {!module:Make}[.wrap].
 
+   There is one read path.  A single-key [lookup] is a one-probe batch:
+   it runs [lookup_into] on a one-slot scratch pair, which skips the
+   sort and descends through the same per-tree hooks ([route] /
+   [leaf_probe], [classify] / [final]) the group drivers call, so the
+   trees carry no separate single-key descent.
+
    Everything on the lookup path is written so that a steady-state
    batch performs no OCaml heap allocation per probe (asserted by the
    test suite via [Gc.minor_words]): the drivers are top-level
@@ -27,7 +33,7 @@ module Obs = Pk_obs.Obs
 
 let null = Pk_arena.Arena.null
 
-(* {2 Scratch-array management}
+(* {2 Scratch-array sizing}
 
    The batched descent keeps per-probe state in reusable arrays owned
    by the tree; they grow to the largest batch seen and are then stable,
@@ -35,11 +41,6 @@ let null = Pk_arena.Arena.null
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 let pow2_at_least n = pow2_at_least (max n 1) 16
-
-let ensure_int a n = if Array.length a >= n then a else Array.make (pow2_at_least n) 0
-
-let ensure_cmp (a : Key.cmp array) n =
-  if Array.length a >= n then a else Array.make (pow2_at_least n) Key.Eq
 
 let fill_perm perm n =
   for i = 0 to n - 1 do
@@ -110,14 +111,6 @@ let[@pklint.hot] rec qsort keys perm lo hi =
 
 let[@pklint.hot] sort_perm keys perm n = qsort keys perm 0 n
 
-(* {2 Option-layer adapters} *)
-
-let lookup_batch_of_into lookup_into keys =
-  let n = Array.length keys in
-  let out = Array.make (max n 1) (-1) in
-  lookup_into keys out;
-  Array.init n (fun i -> if out.(i) < 0 then None else Some out.(i))
-
 let check_rids keys ~rids =
   if Array.length rids <> Array.length keys then
     invalid_arg "insert_batch: keys and rids must have the same length"
@@ -184,10 +177,14 @@ end
 (* {2 Per-tree batch scratch}
 
    One record per tree holding every reusable per-probe array the
-   drivers need; which fields a tree grows is its own business
+   drivers need; which arrays a tree grows is its own business
    ([prepare_batch]).  [keys]/[out] are re-aimed at the caller's arrays
    for the duration of a batched lookup so the cached per-tree hook
-   closures can reach them without per-call closure creation. *)
+   closures can reach them without per-call closure creation;
+   [one_key]/[one_out] are the one-slot pair a single-key lookup runs
+   through.  [node]/[probe] aim the tree's cached FINDNODE ops at one
+   (node, probe) pair; the hooks store [probe] only when it changes, so
+   a one-probe descent pays its write barrier once, not per node. *)
 
 module Scratch = struct
   type t = {
@@ -198,10 +195,47 @@ module Scratch = struct
     mutable sign : int array;  (* per-probe sign at the current node *)
     mutable keys : Key.t array;  (* current batch's probes *)
     mutable out : int array;  (* current batch's result slots *)
+    one_key : Key.t array;  (* single-key lookup's probe slot *)
+    one_out : int array;  (* single-key lookup's result slot *)
+    mutable node : int;  (* node the FINDNODE ops read *)
+    mutable probe : Key.t;  (* probe the FINDNODE ops read *)
   }
 
   let create () =
-    { perm = [||]; rel = [||]; off = [||]; la = [||]; sign = [||]; keys = [||]; out = [||] }
+    {
+      perm = [||];
+      rel = [||];
+      off = [||];
+      la = [||];
+      sign = [||];
+      keys = [||];
+      out = [||];
+      one_key = [| Bytes.empty |];
+      one_out = [| -1 |];
+      node = null;
+      probe = Bytes.empty;
+    }
+
+  (* Each array is replaced only when it must grow: storing a boxed
+     field pays the write barrier, so steady-state calls store none. *)
+
+  let grow_perm sc n = if Array.length sc.perm < n then sc.perm <- Array.make (pow2_at_least n) 0
+  let grow_sign sc n = if Array.length sc.sign < n then sc.sign <- Array.make (pow2_at_least n) 0
+
+  (* Grow the FINDNODE state ([rel], [off], [la]) and seed each probe's
+     (rel, off) with its initial state against the virtual zero key. *)
+  let seed_findnode sc g (keys : Key.t array) n =
+    if Array.length sc.rel < n then begin
+      let cap = pow2_at_least n in
+      sc.rel <- Array.make cap Key.Eq;
+      sc.off <- Array.make cap 0;
+      sc.la <- Array.make cap 0
+    end;
+    for i = 0 to n - 1 do
+      let rel, off = Partial_key.initial_state g keys.(i) in
+      sc.rel.(i) <- rel;
+      sc.off.(i) <- off
+    done
 end
 
 (* {2 Fault-guard wrapping}
@@ -370,45 +404,30 @@ module Entries = struct
         -Record_store.compare_sign c.records (rec_ptr c node i) probe
     | Layout.Partial _ -> assert false
 
-  (* c(probe, entry i) as a {!type:Key.cmp} (plain schemes only). *)
-  let probe_cmp c node probe i =
-    match c.scheme with
-    | Layout.Direct { key_len } ->
-        let r, _ = Layout.compare_direct c.reg (entry_addr c node i) ~key_len probe in
-        Key.flip r
-    | Layout.Indirect ->
-        Counters.deref c.cnt node i;
-        let r, _ = Record_store.compare_key c.records (rec_ptr c node i) probe in
-        Key.flip r
-    | Layout.Partial _ -> assert false
-
-  (* FINDNODE entry_ops aimed through a mutable cursor: one ops record
-     per tree, re-aimed at each (node, search) instead of rebuilt. *)
-  type aim = { mutable node : int; mutable search : Key.t }
-
-  let make_aim () = { node = null; search = Bytes.empty }
-
-  let make_ops c aim ~shift : Node_search.entry_ops =
+  (* FINDNODE entry_ops aimed through the scratch's (node, probe)
+     cursor: one ops record per tree, re-aimed at each (node, probe)
+     instead of rebuilt. *)
+  let make_ops c (sc : Scratch.t) ~shift : Node_search.entry_ops =
     let g = granularity c in
     {
       Node_search.num_keys = 0 (* patched per node by the caller *);
-      pk_off = (fun i -> Layout.read_pk_off c.reg (entry_addr c aim.node (i + shift)));
+      pk_off = (fun i -> Layout.read_pk_off c.reg (entry_addr c sc.node (i + shift)));
       resolve_units =
         (fun i ~rel ~off ->
           Layout.resolve_pk_units c.reg
-            (entry_addr c aim.node (i + shift))
-            ~scheme_granularity:g ~search:aim.search ~rel ~off);
+            (entry_addr c sc.node (i + shift))
+            ~scheme_granularity:g ~search:sc.probe ~rel ~off);
       branch_unit =
         (fun i ->
           match g with
           | Partial_key.Bit -> 1
-          | Partial_key.Byte -> Layout.read_pk_first_byte c.reg (entry_addr c aim.node (i + shift)));
+          | Partial_key.Byte -> Layout.read_pk_first_byte c.reg (entry_addr c sc.node (i + shift)));
       search_unit =
         (fun u ->
           match g with
-          | Partial_key.Bit -> bit_or_zero aim.search u
-          | Partial_key.Byte -> byte_or_zero aim.search u);
-      deref = (fun i -> deref_entry c aim.node aim.search (i + shift));
+          | Partial_key.Bit -> bit_or_zero sc.probe u
+          | Partial_key.Byte -> byte_or_zero sc.probe u);
+      deref = (fun i -> deref_entry c sc.node sc.probe (i + shift));
     }
 
   (* Partial-key comparison of [search] against entry 0 — FINDTTREE's
@@ -440,8 +459,8 @@ end
    The sorted probe batch is descended level by level: at each node the
    probes are resolved in order and contiguous runs that fall into the
    same child are recursed as one segment, so the node's cache lines
-   are touched once per batch instead of once per probe.  [visit] is
-   called once per (node, segment) — the sharing the batch buys.
+   are touched once per batch instead of once per probe.  A node visit
+   is counted once per (node, segment) — the sharing the batch buys.
 
    Works for any tree whose per-node routing maps a probe to a child
    index monotone non-decreasing in key order (B-tree, prefix
@@ -450,22 +469,22 @@ end
 module Group = struct
   type router = {
     sc : Scratch.t;
+    cnt : Counters.t;  (* node visits are counted here *)
     is_leaf : int -> bool;
     num_keys : int -> int;
-    child : int -> int -> int;  (* node -> child index -> child node *)
-    visit : int -> unit;  (* visited node *)
     route : int -> int -> int -> int;
-        (* [route node n slot]: child index for the probe, or -1 when
-           the probe resolved at this node (the hook wrote [sc.out]). *)
+        (* [route node n slot]: the child node the probe descends
+           into, or -1 when it resolved at this node (the hook wrote
+           [sc.out]). *)
     leaf_probe : int -> int -> int -> unit;
         (* [leaf_probe node n slot]: resolve the probe at a leaf,
            writing [sc.out]. *)
   }
 
   (* [run_from]/[run_child]: pending run of sorted probes that fall
-     into the same child ([run_child = -1] = no pending run). *)
+     into the same child node ([run_child = -1] = no pending run). *)
   let[@pklint.hot] rec drive r node lo hi =
-    r.visit node;
+    Counters.visit r.cnt node;
     let n = r.num_keys node in
     if r.is_leaf node then
       for p = lo to hi - 1 do
@@ -474,24 +493,33 @@ module Group = struct
     else scan r node n hi lo lo (-1)
 
   and scan r node n hi p run_from run_child =
-    if p >= hi then flush r node p run_from run_child
+    if p >= hi then flush r p run_from run_child
     else begin
-      let ci = r.route node n r.sc.Scratch.perm.(p) in
-      if ci < 0 then begin
-        flush r node p run_from run_child;
+      let c = r.route node n r.sc.Scratch.perm.(p) in
+      if c < 0 then begin
+        flush r p run_from run_child;
         scan r node n hi (p + 1) (p + 1) (-1)
       end
-      else if ci = run_child then scan r node n hi (p + 1) run_from run_child
+      else if c = run_child then scan r node n hi (p + 1) run_from run_child
       else begin
-        flush r node p run_from run_child;
-        scan r node n hi (p + 1) p ci
+        flush r p run_from run_child;
+        scan r node n hi (p + 1) p c
       end
     end
   [@@pklint.hot]
 
-  and flush r node upto run_from run_child =
-    if run_child >= 0 && upto > run_from then drive r (r.child node run_child) run_from upto
+  and flush r upto run_from run_child =
+    if run_child >= 0 && upto > run_from then drive r run_child run_from upto
   [@@pklint.hot]
+
+  (* One-probe descent over the same hooks: no permutation, no runs. *)
+  let[@pklint.hot] rec drive1 r node slot =
+    Counters.visit r.cnt node;
+    let n = r.num_keys node in
+    if r.is_leaf node then r.leaf_probe node n slot
+    else
+      let c = r.route node n slot in
+      if c >= 0 then drive1 r c slot
 end
 
 (* {2 Group descent over binary (T-tree) structures}
@@ -499,17 +527,18 @@ end
    FINDTTREE descends comparing only each node's leftmost entry, so a
    sorted probe batch splits at every node into three contiguous
    segments — below, equal to, and above entry 0 — and the two outer
-   segments descend left and right as groups.  [classify] leaves the
-   per-probe sign in [sc.sign]; probes reaching a null child resolve
-   via [final] against the last greater-than ancestor. *)
+   segments descend left and right as groups.  [classify] returns the
+   per-probe sign, which the batch driver parks in [sc.sign] for the
+   segment scan; probes reaching a null child resolve via [final]
+   against the last greater-than ancestor. *)
 
 module Tgroup = struct
   type driver = {
     sc : Scratch.t;
+    cnt : Counters.t;  (* node visits are counted here *)
     left : int -> int;
     right : int -> int;
-    visit : int -> unit;  (* visited node *)
-    classify : int -> int -> unit;  (* node -> slot: sign + state updates *)
+    classify : int -> int -> int;  (* node -> slot -> sign, with state updates *)
     final : int -> int -> unit;  (* last-Gt ancestor (or null) -> slot *)
   }
 
@@ -521,22 +550,34 @@ module Tgroup = struct
   let[@pklint.hot] rec bound_zero sc p hi =
     if p < hi && sc.Scratch.sign.(sc.Scratch.perm.(p)) = 0 then bound_zero sc (p + 1) hi else p
 
+  (* Empty segments are skipped before their child pointer is read. *)
   let[@pklint.hot] rec drive d node la lo hi =
-    if lo < hi then
-      if node = null then
-        for p = lo to hi - 1 do
-          d.final la d.sc.Scratch.perm.(p)
-        done
-      else begin
-        d.visit node;
-        for p = lo to hi - 1 do
-          d.classify node d.sc.Scratch.perm.(p)
-        done;
-        let a = bound_neg d.sc lo hi in
-        let b = bound_zero d.sc a hi in
-        drive d (d.left node) la lo a;
-        drive d (d.right node) node b hi
-      end
+    if node = null then
+      for p = lo to hi - 1 do
+        d.final la d.sc.Scratch.perm.(p)
+      done
+    else begin
+      Counters.visit d.cnt node;
+      let sc = d.sc in
+      for p = lo to hi - 1 do
+        let slot = sc.Scratch.perm.(p) in
+        sc.Scratch.sign.(slot) <- d.classify node slot
+      done;
+      let a = bound_neg sc lo hi in
+      let b = bound_zero sc a hi in
+      if lo < a then drive d (d.left node) la lo a;
+      if b < hi then drive d (d.right node) node b hi
+    end
+
+  (* One-probe descent over the same hooks: the sign steers directly. *)
+  let[@pklint.hot] rec drive1 d node la slot =
+    if node = null then d.final la slot
+    else begin
+      Counters.visit d.cnt node;
+      let c = d.classify node slot in
+      if c < 0 then drive1 d (d.left node) la slot
+      else if c > 0 then drive1 d (d.right node) node slot
+    end
 end
 
 (* {2 Durability and snapshot metrics}
@@ -560,7 +601,6 @@ type ops = {
   lookup : Key.t -> int option;
   delete : Key.t -> bool;
   lookup_into : Key.t array -> int array -> unit;
-  lookup_batch : Key.t array -> int option array;
   insert_batch : Key.t array -> rids:int array -> bool array;
   delete_batch : Key.t array -> bool array;
   of_sorted : ?gap:float -> fill:float -> (Key.t * int) array -> unit;
@@ -739,18 +779,20 @@ module type STRUCTURE = sig
   val save : t -> snap
   val restore : t -> snap -> unit
 
-  (** Single-key operations (the tree's own mutation/search logic). *)
+  (** Single-key mutations (the tree's own update logic). *)
 
   val insert : t -> Key.t -> rid:int -> bool
-  val lookup : t -> Key.t -> int option
   val delete : t -> Key.t -> bool
 
   (** Group descent: grow/initialise the per-probe scratch state, then
       resolve the sorted batch (permutation, probes and result slots
-      are already in the scratch record). *)
+      are already in the scratch record); or, for a one-probe batch,
+      seed slot [0]'s state and descend it alone through the same
+      hooks. *)
 
   val prepare_batch : t -> Key.t array -> int -> unit
   val descend : t -> int -> unit
+  val descend_one : t -> int -> unit
 
   (** Bulk load: per-key admission check, the node-placement policy and
       the shape pass feeding the planner, then the level-building body
@@ -816,15 +858,26 @@ module Make (S : STRUCTURE) = struct
         done
       else begin
         let sc = S.scratch t in
-        sc.Scratch.keys <- keys;
-        sc.Scratch.out <- out;
-        S.prepare_batch t keys n;
-        fill_perm sc.Scratch.perm n;
-        sort_perm keys sc.Scratch.perm n;
-        S.descend t n
+        (* Re-aim only on change: each store pays the write barrier. *)
+        if sc.Scratch.keys != keys then sc.Scratch.keys <- keys;
+        if sc.Scratch.out != out then sc.Scratch.out <- out;
+        if n = 1 then S.descend_one t 0
+        else begin
+          S.prepare_batch t keys n;
+          fill_perm sc.Scratch.perm n;
+          sort_perm keys sc.Scratch.perm n;
+          S.descend t n
+        end
       end
 
-  let lookup_batch t keys = lookup_batch_of_into (lookup_into t) keys
+  (* A single-key lookup is a one-probe batch over the scratch's
+     one-slot pair. *)
+  let lookup t key =
+    let sc = S.scratch t in
+    sc.Scratch.one_key.(0) <- key;
+    lookup_into t sc.Scratch.one_key sc.Scratch.one_out;
+    let rid = sc.Scratch.one_out.(0) in
+    if rid < 0 then None else Some rid
 
   (* Batched mutations: applied in sorted key order (ties keep batch
      order, so duplicate keys within a batch resolve exactly as they
@@ -833,7 +886,7 @@ module Make (S : STRUCTURE) = struct
 
   let sorted_batch t keys n =
     let sc = S.scratch t in
-    sc.Scratch.perm <- ensure_int sc.Scratch.perm n;
+    Scratch.grow_perm sc n;
     fill_perm sc.Scratch.perm n;
     sort_perm keys sc.Scratch.perm n;
     sc.Scratch.perm
@@ -986,10 +1039,9 @@ module Make (S : STRUCTURE) = struct
     {
       tag;
       insert = (fun _ ~rid:_ -> read_only "insert");
-      lookup = S.lookup vt;
+      lookup = lookup vt;
       delete = (fun _ -> read_only "delete");
       lookup_into = lookup_into vt;
-      lookup_batch = lookup_batch vt;
       insert_batch = (fun _ ~rids:_ -> read_only "insert_batch");
       delete_batch = (fun _ -> read_only "delete_batch");
       of_sorted = (fun ?gap:_ ~fill:_ _ -> read_only "of_sorted");
@@ -1044,10 +1096,9 @@ module Make (S : STRUCTURE) = struct
     {
       tag;
       insert = (fun key ~rid -> mutating (fun () -> S.insert t key ~rid));
-      lookup = S.lookup t;
+      lookup = lookup t;
       delete = (fun key -> mutating (fun () -> S.delete t key));
       lookup_into = lookup_into t;
-      lookup_batch = lookup_batch t;
       insert_batch = (fun keys ~rids -> mutating (fun () -> insert_batch t keys ~rids));
       delete_batch = (fun keys -> mutating (fun () -> delete_batch t keys));
       of_sorted =

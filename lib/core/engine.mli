@@ -3,9 +3,11 @@
     The batched access path — group-descent lookups, sorted batch
     mutations under one unwind scope, bottom-up bulk load, spine-stack
     cursors, deref/visit counters and fault-guard wrapping — is
-    implemented once here.  Each tree supplies its per-structure
-    primitives through {!module-type:STRUCTURE} and is rebuilt into the
-    uniform closure record {!type:ops} by {!module:Make}[.wrap]. *)
+    implemented once here.  A single-key lookup is a one-probe batch
+    through the same per-tree descent hooks.  Each tree supplies its
+    per-structure primitives through {!module-type:STRUCTURE} and is
+    rebuilt into the uniform closure record {!type:ops} by
+    {!module:Make}[.wrap]. *)
 
 module Mem = Pk_mem.Mem
 module Fault = Pk_fault.Fault
@@ -18,19 +20,14 @@ module Obs = Pk_obs.Obs
 
 val null : int
 
-(** {2 Scratch-array management} *)
+(** {2 Scratch-array sizing} *)
 
 val pow2_at_least : int -> int
-val ensure_int : int array -> int -> int array
-val ensure_cmp : Key.cmp array -> int -> Key.cmp array
 val fill_perm : int array -> int -> unit
 
 val sort_perm : Key.t array -> int array -> int -> unit
 (** [sort_perm keys perm n] sorts [perm.[0..n)] so the referenced keys
     ascend, ties broken by slot index (stable).  Allocation-free. *)
-
-val lookup_batch_of_into : (Key.t array -> int array -> unit) -> Key.t array -> int option array
-(** Option-layer adapter over a [lookup_into]-shaped function. *)
 
 val check_rids : Key.t array -> rids:int array -> unit
 (** Raise [Invalid_argument] unless [keys] and [rids] have equal length. *)
@@ -76,7 +73,9 @@ end
 (** Reusable per-probe batch state owned by each tree.  [keys]/[out]
     are re-aimed at the caller's arrays for the duration of a batched
     lookup so cached hook closures can reach them without per-call
-    allocation. *)
+    allocation; [one_key]/[one_out] are the one-slot pair a single-key
+    lookup runs through; [node]/[probe] aim the tree's cached FINDNODE
+    ops. *)
 module Scratch : sig
   type t = {
     mutable perm : int array;
@@ -86,9 +85,25 @@ module Scratch : sig
     mutable sign : int array;
     mutable keys : Key.t array;
     mutable out : int array;
+    one_key : Key.t array;
+    one_out : int array;
+    mutable node : int;
+    mutable probe : Key.t;
   }
 
   val create : unit -> t
+
+  val grow_perm : t -> int -> unit
+  (** Make [perm] hold at least [n] probes; the field is stored only
+      when it grows. *)
+
+  val grow_sign : t -> int -> unit
+  (** As {!grow_perm}, for [sign]. *)
+
+  val seed_findnode : t -> Partial_key.granularity -> Key.t array -> int -> unit
+  (** Grow [rel]/[off]/[la] to [n] probes (stored only on growth) and
+      seed each probe's (rel, off) FINDNODE state from
+      {!Partial_key.initial_state}. *)
 end
 
 val guarded :
@@ -157,18 +172,11 @@ module Entries : sig
   (** Sign of [c(probe, entry i)], allocation-free.  Plain schemes
       only; counts a dereference under the indirect scheme. *)
 
-  val probe_cmp : ctx -> int -> Key.t -> int -> Key.cmp
-  (** [c(probe, entry i)] as a {!type:Key.cmp}.  Plain schemes only. *)
-
-  (** Mutable aiming point for a cached FINDNODE ops record. *)
-  type aim = { mutable node : int; mutable search : Key.t }
-
-  val make_aim : unit -> aim
-
-  val make_ops : ctx -> aim -> shift:int -> Node_search.entry_ops
+  val make_ops : ctx -> Scratch.t -> shift:int -> Node_search.entry_ops
   (** Build one {!type:Node_search.entry_ops} reading entries
-      [i + shift] of [aim.node] against [aim.search]; re-aim instead of
-      rebuilding.  [num_keys] starts at 0 and is patched per node. *)
+      [i + shift] of the scratch's [node] against its [probe]; re-aim
+      instead of rebuilding.  [num_keys] starts at 0 and is patched per
+      node. *)
 
   val head_pk_cmp : ctx -> int -> Key.t -> rel:Key.cmp -> off:int -> Key.cmp * int
   (** Partial-key comparison of the search key against entry 0 —
@@ -177,18 +185,19 @@ module Entries : sig
 end
 
 (** Group descent over child-partitioned trees (B-tree, prefix
-    B+-tree): sorted probes descend as contiguous per-child runs;
-    [visit] fires once per (node, segment). *)
+    B+-tree): sorted probes descend as contiguous per-child runs; a
+    node visit is counted in [cnt] once per (node, segment). *)
 module Group : sig
   type router = {
     sc : Scratch.t;
+    cnt : Counters.t;
     is_leaf : int -> bool;
     num_keys : int -> int;
-    child : int -> int -> int;
-    visit : int -> unit;
     route : int -> int -> int -> int;
-        (** [route node n slot]: child index, or -1 when the probe
-            resolved at this node (hook wrote [sc.out]). *)
+        (** [route node n slot]: the child node to descend into, or -1
+            when the probe resolved at this node (hook wrote
+            [sc.out]).  Probes routed to one child must be contiguous
+            in key order. *)
     leaf_probe : int -> int -> int -> unit;
         (** [leaf_probe node n slot]: resolve at a leaf into [sc.out]. *)
   }
@@ -196,6 +205,10 @@ module Group : sig
   val drive : router -> int -> int -> int -> unit
   (** [drive r node lo hi] resolves sorted-permutation positions
       [lo..hi) starting at [node]. *)
+
+  val drive1 : router -> int -> int -> unit
+  (** [drive1 r node slot] resolves the one probe in [slot] starting at
+      [node]: the same hooks, one root-to-leaf path. *)
 end
 
 (** Group descent over binary (T-tree) structures: each node splits the
@@ -203,19 +216,25 @@ end
 module Tgroup : sig
   type driver = {
     sc : Scratch.t;
+    cnt : Counters.t;
     left : int -> int;
     right : int -> int;
-    visit : int -> unit;
-    classify : int -> int -> unit;
-        (** [classify node slot]: leave the probe's sign against entry 0
-            in [sc.sign] (plus any per-probe state updates). *)
+    classify : int -> int -> int;
+        (** [classify node slot]: the probe's sign against entry 0 (plus
+            any per-probe state updates; on 0 the hook wrote
+            [sc.out]). *)
     final : int -> int -> unit;
         (** [final la slot]: resolve a probe that reached a null child
             against its last greater-than ancestor [la] (or [null]). *)
   }
 
   val drive : driver -> int -> int -> int -> int -> unit
-  (** [drive d node la lo hi]. *)
+  (** [drive d node la lo hi]: resolve sorted-permutation positions
+      [lo..hi) (non-empty) from [node], [la] being their last
+      greater-than ancestor. *)
+
+  val drive1 : driver -> int -> int -> int -> unit
+  (** [drive1 d node la slot]: the one-probe descent of [slot]. *)
 end
 
 (** {2 The uniform access-path record} *)
@@ -226,7 +245,6 @@ type ops = {
   lookup : Key.t -> int option;
   delete : Key.t -> bool;
   lookup_into : Key.t array -> int array -> unit;
-  lookup_batch : Key.t array -> int option array;
   insert_batch : Key.t array -> rids:int array -> bool array;
   delete_batch : Key.t array -> bool array;
   of_sorted : ?gap:float -> fill:float -> (Key.t * int) array -> unit;
@@ -340,7 +358,6 @@ module type STRUCTURE = sig
   val save : t -> snap
   val restore : t -> snap -> unit
   val insert : t -> Key.t -> rid:int -> bool
-  val lookup : t -> Key.t -> int option
   val delete : t -> Key.t -> bool
 
   val prepare_batch : t -> Key.t array -> int -> unit
@@ -349,6 +366,11 @@ module type STRUCTURE = sig
   val descend : t -> int -> unit
   (** Resolve the sorted batch (permutation, probes, result slots are in
       the scratch record). *)
+
+  val descend_one : t -> int -> unit
+  (** [descend_one t slot]: seed probe [slot]'s per-probe state and
+      resolve it through the same hooks as [descend] — no permutation,
+      no [prepare_batch]. *)
 
   val check_load_key : t -> Key.t -> unit
 
@@ -393,7 +415,10 @@ end
 module Make (S : STRUCTURE) : sig
   val guarded : S.t -> (unit -> 'a) -> 'a
   val lookup_into : S.t -> Key.t array -> int array -> unit
-  val lookup_batch : S.t -> Key.t array -> int option array
+
+  val lookup : S.t -> Key.t -> int option
+  (** A one-probe [lookup_into] over the scratch's one-slot pair. *)
+
   val insert_batch : S.t -> Key.t array -> rids:int array -> bool array
   val delete_batch : S.t -> Key.t array -> bool array
   val bulk_load : S.t -> ?gap:float -> ?fill:float -> (Key.t * int) array -> unit

@@ -7,7 +7,6 @@ type t = Engine.ops = {
   lookup : Pk_keys.Key.t -> int option;
   delete : Pk_keys.Key.t -> bool;
   lookup_into : Pk_keys.Key.t array -> int array -> unit;
-  lookup_batch : Pk_keys.Key.t array -> int option array;
   insert_batch : Pk_keys.Key.t array -> rids:int array -> bool array;
   delete_batch : Pk_keys.Key.t array -> bool array;
   of_sorted : ?gap:float -> fill:float -> (Pk_keys.Key.t * int) array -> unit;

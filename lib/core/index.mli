@@ -14,8 +14,6 @@ type t = Engine.ops = {
       (** Batched lookup by group descent into a caller-supplied result
           array ([-1] = absent); the zero-allocation hot path.  See
           {!Btree.lookup_into}. *)
-  lookup_batch : Pk_keys.Key.t array -> int option array;
-      (** Allocating wrapper over [lookup_into]. *)
   insert_batch : Pk_keys.Key.t array -> rids:int array -> bool array;
       (** Batch insert; equal to singles in batch order, batch-atomic
           under fault unwinding. *)

@@ -66,7 +66,6 @@ let space_bytes t = Mem.live_bytes t.reg
 let deref_count t = t.cnt.Counters.derefs
 let node_visits t = t.cnt.Counters.visits
 let reset_counters t = Counters.reset t.cnt
-let visit t node = Counters.visit t.cnt node
 
 (* {2 Raw node accessors} *)
 
@@ -231,25 +230,13 @@ let leaf_find t node search =
       | _, Some i -> rec_rid t node i
       | _, None -> -1)
 
-let lookup t search =
-  let rec go node =
-    visit t node;
-    if is_leaf t node then
-      match leaf_find t node search with -1 -> None | rid -> Some rid
-    else begin
-      let ci = child_index t node search in
-      Obs.Trace.emit t.cnt.Counters.trace Obs.Trace.k_route node ci;
-      go (child_at t node ci)
-    end
-  in
-  if t.root = null then None else go t.root
-
-(* {2 Batched lookups (group descent)}
+(* {2 Lookup hooks (group descent)}
 
    The child index for a probe is monotone non-decreasing in sorted
    key order, so probes reaching the same child form one contiguous
    run and every node is visited (and its prefix compared) once per
-   batch — {!Engine.Group} drives the partitioned descent. *)
+   batch — {!Engine.Group} drives the partitioned descent, and a single
+   key descends as a one-probe batch through the same hooks. *)
 
 let router t =
   match t.router with
@@ -259,11 +246,14 @@ let router t =
       let r =
         {
           Group.sc;
-          is_leaf = is_leaf t;
-          num_keys = num_keys t;
-          child = child_at t;
-          visit = visit t;
-          route = (fun node _n slot -> child_index t node sc.Scratch.keys.(slot));
+          cnt = t.cnt;
+          is_leaf = (fun node -> is_leaf t node);
+          num_keys = (fun node -> num_keys t node);
+          route =
+            (fun node _n slot ->
+              let ci = child_index t node sc.Scratch.keys.(slot) in
+              Obs.Trace.emit t.cnt.Counters.trace Obs.Trace.k_route node ci;
+              child_at t node ci);
           leaf_probe =
             (fun node _n slot ->
               sc.Scratch.out.(slot) <- leaf_find t node sc.Scratch.keys.(slot));
@@ -900,10 +890,10 @@ module Structure = struct
   let save = save
   let restore = restore
   let insert = insert
-  let lookup = lookup
   let delete = delete
-  let prepare_batch t _keys n = t.sc.Scratch.perm <- Engine.ensure_int t.sc.Scratch.perm n
+  let prepare_batch t _keys n = Scratch.grow_perm t.sc n
   let descend t n = Group.drive (router t) t.root 0 n
+  let descend_one t slot = Group.drive1 (router t) t.root slot
   let check_load_key = check_load_key
   let layout_policy t = t.layout
   let load_shape = load_shape

@@ -42,6 +42,8 @@ val insert : t -> Pk_keys.Key.t -> rid:int -> bool
     even alone. *)
 
 val lookup : t -> Pk_keys.Key.t -> int option
+(** A one-probe {!lookup_into}. *)
+
 val delete : t -> Pk_keys.Key.t -> bool
 
 (** {2 Batched access path} *)
@@ -51,7 +53,6 @@ val lookup_into : t -> Pk_keys.Key.t array -> int array -> unit
     prefix and slot directory are touched once per batch.  See
     {!Btree.lookup_into} for the contract. *)
 
-val lookup_batch : t -> Pk_keys.Key.t array -> int option array
 val insert_batch : t -> Pk_keys.Key.t array -> rids:int array -> bool array
 val delete_batch : t -> Pk_keys.Key.t array -> bool array
 

@@ -2,7 +2,6 @@ module Mem = Pk_mem.Mem
 module Fault = Pk_fault.Fault
 module Key = Pk_keys.Key
 module Record_store = Pk_records.Record_store
-module Partial_key = Pk_partialkey.Partial_key
 module Node_search = Pk_partialkey.Node_search
 module Counters = Engine.Counters
 module Scratch = Engine.Scratch
@@ -24,8 +23,7 @@ type t = {
   records : Record_store.t;
   cfg : config;
   ec : Entries.ctx;
-  sc : Scratch.t;
-  aim : Entries.aim; (* (node, probe) the reusable entry_ops reads *)
+  sc : Scratch.t; (* also aims the reusable entry_ops at (node, probe) *)
   max_entries : int;
   min_internal : int;
   mutable root : int;
@@ -59,7 +57,6 @@ let create mem records cfg =
     ec =
       Entries.make ~name:"Ttree" ~reg ~records ~scheme:cfg.scheme ~entries_at (Counters.create ());
     sc = Scratch.create ();
-    aim = Entries.make_aim ();
     max_entries;
     min_internal = max 1 (max_entries - 2);
     root = null;
@@ -79,7 +76,6 @@ let cnt t = t.ec.Entries.cnt
 let deref_count t = (cnt t).Counters.derefs
 let node_visits t = (cnt t).Counters.visits
 let reset_counters t = Counters.reset (cnt t)
-let visit t node = Counters.visit (cnt t) node
 
 (* {2 Node accessors} *)
 
@@ -487,89 +483,30 @@ let delete t key =
           true
       | exception Not_present -> false)
 
-(* {2 Lookup} *)
+(* {2 Lookup hooks}
 
-(* One shifted entry_ops per tree: FINDTTREE's final search runs over
-   entries [1..n) of the last Gt ancestor (its leftmost key is the
-   base), re-aimed via [t.aim]. *)
-let batch_ops t =
-  match t.bops with
-  | Some ops -> ops
-  | None ->
-      let ops = Entries.make_ops t.ec t.aim ~shift:1 in
-      t.bops <- Some ops;
-      ops
-
-let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
-
-(* FINDTTREE (Fig. 7).  [la]/[la_off]: the last node left via a
-   greater-than branch and the resolved offset there. *)
-let lookup_partial t search =
-  let find = find_fn t in
-  let ops = batch_ops t in
-  t.aim.Entries.search <- search;
-  let rel0, off0 = Partial_key.initial_state (Entries.granularity t.ec) search in
-  let rec descend node la la_off rel off =
-    if node = null then
-      if la = null then None
-      else begin
-        t.aim.Entries.node <- la;
-        ops.Node_search.num_keys <- num_keys t la - 1;
-        let r = find ops ~rel0:Key.Gt ~off0:la_off in
-        if r.Node_search.low = r.Node_search.high then Some (rec_ptr t la (r.Node_search.low + 1))
-        else None
-      end
-    else begin
-      visit t node;
-      let c, o = Entries.head_pk_cmp t.ec node search ~rel ~off in
-      match c with
-      | Key.Eq -> Some (rec_ptr t node 0)
-      | Key.Lt -> descend (left t node) la la_off c o
-      | Key.Gt -> descend (right t node) node o c o
-    end
-  in
-  descend t.root null 0 rel0 off0
-
-(* Direct / indirect: single comparison per level against entry 0. *)
-let lookup_plain t search =
-  let rec in_node node lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      match Entries.probe_cmp t.ec node search mid with
-      | Key.Eq -> Some (rec_ptr t node mid)
-      | Key.Lt -> in_node node lo mid
-      | Key.Gt -> in_node node (mid + 1) hi
-  in
-  let rec descend node la =
-    if node = null then if la = null then None else in_node la 1 (num_keys t la)
-    else begin
-      visit t node;
-      match Entries.probe_cmp t.ec node search 0 with
-      | Key.Eq -> Some (rec_ptr t node 0)
-      | Key.Lt -> descend (left t node) la
-      | Key.Gt -> descend (right t node) node
-    end
-  in
-  descend t.root null
-
-let lookup t search =
-  if t.root = null then None
-  else
-    match t.cfg.scheme with
-    | Layout.Partial _ -> lookup_partial t search
-    | Layout.Direct _ | Layout.Indirect -> lookup_plain t search
-
-(* {2 Batched lookup hooks (group descent)}
-
-   The engine ({!module:Engine.Tgroup}) splits the sorted batch at
-   every node into below / equal / above segments against the leftmost
-   entry; probes of one segment share their whole path, hence also the
+   FINDTTREE (Fig. 7) is the engine's descent ({!module:Engine.Tgroup}):
+   a sorted batch splits at every node into below / equal / above
+   segments against the leftmost entry, and a single key is a one-probe
+   batch.  Probes of one segment share their whole path, hence also the
    last-Gt-ancestor node — only the offset at that ancestor is
    per-probe state.  As in {!module:Btree}, the direct/indirect path is
    allocation-free (sign comparisons into the scratch arrays); the
    partial path reuses one mutable shifted [entry_ops] for the final
    in-ancestor search and allocates only comparison pairs. *)
+
+(* One shifted entry_ops per tree: FINDTTREE's final search runs over
+   entries [1..n) of the last Gt ancestor (its leftmost key is the
+   base), re-aimed via the scratch cursor. *)
+let batch_ops t =
+  match t.bops with
+  | Some ops -> ops
+  | None ->
+      let ops = Entries.make_ops t.ec t.sc ~shift:1 in
+      t.bops <- Some ops;
+      ops
+
+let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
 
 (* Binary search among entries [lo, hi) of [node]; rid or -1. *)
 let[@pklint.hot] rec tresolve t node probe lo hi =
@@ -587,7 +524,14 @@ let tdriver t =
   | None ->
       let sc = t.sc in
       let common classify final =
-        { Tgroup.sc; left = left t; right = right t; visit = visit t; classify; final }
+        {
+          Tgroup.sc;
+          cnt = cnt t;
+          left = (fun node -> left t node);
+          right = (fun node -> right t node);
+          classify;
+          final;
+        }
       in
       let d =
         match t.cfg.scheme with
@@ -595,8 +539,8 @@ let tdriver t =
             common
               (fun node slot ->
                 let c = Entries.probe_sign t.ec node sc.Scratch.keys.(slot) 0 in
-                sc.Scratch.sign.(slot) <- c;
-                if c = 0 then sc.Scratch.out.(slot) <- rec_ptr t node 0)
+                if c = 0 then sc.Scratch.out.(slot) <- rec_ptr t node 0;
+                c)
               (fun la slot ->
                 sc.Scratch.out.(slot) <-
                   (if la = null then -1 else tresolve t la sc.Scratch.keys.(slot) 1 (num_keys t la)))
@@ -613,21 +557,21 @@ let tdriver t =
                 match c with
                 | Key.Eq ->
                     sc.Scratch.out.(slot) <- rec_ptr t node 0;
-                    sc.Scratch.sign.(slot) <- 0
+                    0
                 | Key.Lt ->
                     sc.Scratch.rel.(slot) <- Key.Lt;
                     sc.Scratch.off.(slot) <- o;
-                    sc.Scratch.sign.(slot) <- -1
+                    -1
                 | Key.Gt ->
                     sc.Scratch.rel.(slot) <- Key.Gt;
                     sc.Scratch.off.(slot) <- o;
                     sc.Scratch.la.(slot) <- o;
-                    sc.Scratch.sign.(slot) <- 1)
+                    1)
               (fun la slot ->
                 if la = null then sc.Scratch.out.(slot) <- -1
                 else begin
-                  t.aim.Entries.node <- la;
-                  t.aim.Entries.search <- sc.Scratch.keys.(slot);
+                  sc.Scratch.node <- la;
+                  sc.Scratch.probe <- sc.Scratch.keys.(slot);
                   ops.Node_search.num_keys <- num_keys t la - 1;
                   let r = find ops ~rel0:Key.Gt ~off0:sc.Scratch.la.(slot) in
                   sc.Scratch.out.(slot) <-
@@ -827,26 +771,18 @@ module Structure = struct
   let save = save
   let restore = restore
   let insert = insert
-  let lookup = lookup
   let delete = delete
 
   let prepare_batch t keys n =
-    let sc = t.sc in
-    sc.Scratch.perm <- Engine.ensure_int sc.Scratch.perm n;
-    sc.Scratch.sign <- Engine.ensure_int sc.Scratch.sign n;
-    if is_partial t then begin
-      sc.Scratch.rel <- Engine.ensure_cmp sc.Scratch.rel n;
-      sc.Scratch.off <- Engine.ensure_int sc.Scratch.off n;
-      sc.Scratch.la <- Engine.ensure_int sc.Scratch.la n;
-      let g = Entries.granularity t.ec in
-      for i = 0 to n - 1 do
-        let rel, off = Partial_key.initial_state g keys.(i) in
-        sc.Scratch.rel.(i) <- rel;
-        sc.Scratch.off.(i) <- off
-      done
-    end
+    Scratch.grow_perm t.sc n;
+    Scratch.grow_sign t.sc n;
+    if is_partial t then Scratch.seed_findnode t.sc (Entries.granularity t.ec) keys n
 
   let descend t n = Tgroup.drive (tdriver t) t.root null 0 n
+  let descend_one t slot =
+    if is_partial t then
+      Scratch.seed_findnode t.sc (Entries.granularity t.ec) t.sc.Scratch.keys (slot + 1);
+    Tgroup.drive1 (tdriver t) t.root null slot
 
   let check_load_key t k =
     match t.cfg.scheme with
@@ -883,7 +819,6 @@ module Structure = struct
         Entries.make ~name:"Ttree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
           (Counters.create ());
       sc = Scratch.create ();
-      aim = Entries.make_aim ();
       bops = None;
       td = None;
     }

@@ -37,6 +37,10 @@ val record_store : t -> Pk_records.Record_store.t
 
 val insert : t -> Pk_keys.Key.t -> rid:int -> bool
 val lookup : t -> Pk_keys.Key.t -> int option
+(** Record address of the exact key, if present: a one-probe
+    {!lookup_into} (FINDTTREE, Fig. 7) through the same per-node hooks
+    as a batch. *)
+
 val delete : t -> Pk_keys.Key.t -> bool
 
 (** {2 Batched access path} *)
@@ -49,7 +53,6 @@ val lookup_into : t -> Pk_keys.Key.t array -> int array -> unit
     FINDNODE (rel, offset) pair.  [-1] = absent.  See
     {!Btree.lookup_into} for the contract. *)
 
-val lookup_batch : t -> Pk_keys.Key.t array -> int option array
 val insert_batch : t -> Pk_keys.Key.t array -> rids:int array -> bool array
 val delete_batch : t -> Pk_keys.Key.t array -> bool array
 

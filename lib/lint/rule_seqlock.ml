@@ -7,9 +7,9 @@
    lock), and bump back to even.  This rule checks that state machine
    per function body:
 
-   - an optimistic read (a [lookup]/[lookup_into]/[lookup_batch] field
-     call on a handle whose version word was fetched) must be followed
-     by a [validated] check on that handle before the scope ends;
+   - an optimistic read (a [lookup]/[lookup_into] field call on a
+     handle whose version word was fetched) must be followed by a
+     [validated] check on that handle before the scope ends;
    - a [validated] call needs a version fetch or pin on its handle —
      validating against a word fetched on a different handle checks
      nothing;
@@ -191,7 +191,7 @@ let check ~scope (g : Callgraph.t) =
                   s.version <- true;
                   s.validated <- false;
                   walk_args ()
-              | ("lookup" | "lookup_into" | "lookup_batch"), Some h ->
+              | ("lookup" | "lookup_into"), Some h ->
                   let s = state h in
                   if !mutex_depth = 0 && s.version && not s.validated then
                     s.dangling <- Some e.exp_loc;

@@ -11,7 +11,6 @@ module Key = Pk_keys.Key
 module Index = Pk_core.Index
 module Layout = Pk_core.Layout
 module Record_store = Pk_records.Record_store
-module Mem = Pk_mem.Mem
 
 (* {2 Packed partial keys} *)
 
@@ -162,63 +161,3 @@ let rebuild ?domains ?(gap = 0.1) ~store ~into source =
   if Array.length sorted > 0 then
     into.Index.of_sorted ~gap ~fill:(Layout.gap_fill ~gap) sorted;
   stats
-
-(* {2 Pipeline crash recovery} *)
-
-(* The committed-prefix fold keyed on raw key bytes.  Unlike
-   {!Pk_core.Engine.recover}'s ordered map, the fold is an unordered
-   hashtable: the pipeline's parallel sort replaces the map's ordering
-   work, which is exactly the stage worth parallelising at scale. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = Key.t
-
-  let equal = Bytes.equal
-  let hash k = Hashtbl.hash (Bytes.to_string k)
-end)
-
-let recover ?node_bytes ?domains ?(gap = 0.1) ~key_len ~tag journal =
-  let module J = Pk_journal.Journal in
-  let mem = Mem.create () in
-  let records = Record_store.create mem in
-  let ix = Index.Registry.build ?node_bytes ~key_len tag mem records in
-  let committed = J.committed_ops journal in
-  let last = List.fold_left (fun acc (b, _) -> Stdlib.max acc b) 0 committed in
-  let prefix, tail = List.partition (fun (b, _) -> b <> last) committed in
-  let state = Key_tbl.create 1024 in
-  List.iter
-    (fun (_, op) ->
-      match op with
-      | J.Insert { key; payload } ->
-          (* Insert of a present key is a no-op, matching live
-             semantics (and Engine.recover). *)
-          if not (Key_tbl.mem state key) then Key_tbl.add state key payload
-      | J.Delete { key } -> Key_tbl.remove state key)
-    prefix;
-  let entries = Array.make (max 1 (Key_tbl.length state)) (Bytes.empty, 0) in
-  let i = ref 0 in
-  Key_tbl.iter
-    (fun key payload ->
-      entries.(!i) <- (key, Record_store.insert records ~key ~payload);
-      incr i)
-    state;
-  let sorted, stats = sort ?domains ~store:records (Array.sub entries 0 !i) in
-  if Array.length sorted > 0 then
-    ix.Index.of_sorted ~gap ~fill:(Layout.gap_fill ~gap) sorted;
-  List.iter
-    (fun (_, op) ->
-      match op with
-      | J.Insert { key; payload } -> (
-          match ix.Index.lookup key with
-          | Some _ -> ()
-          | None ->
-              let rid = Record_store.insert records ~key ~payload in
-              if not (ix.Index.insert key ~rid) then Record_store.delete records rid)
-      | J.Delete { key } -> (
-          match ix.Index.lookup key with
-          | Some rid ->
-              ignore (ix.Index.delete key : bool);
-              Record_store.delete records rid
-          | None -> ()))
-    tail;
-  ix.Index.validate ();
-  (mem, records, ix, stats)

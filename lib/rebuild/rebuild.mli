@@ -1,11 +1,10 @@
 (** Rebuild-at-scale pipeline: staged index reconstruction for bulk
-    ingest, post-churn compaction and crash recovery.
+    ingest and post-churn compaction.
 
     Three stages:
 
     + {b extract} fixed-size partial-key/rid pairs from an existing
-      index, a journal's committed prefix, or an unsorted ingest
-      buffer;
+      index or an unsorted ingest buffer;
     + {b sort} them on a packed key prefix (the first {!pk_bytes} key
       bytes big-endian in one OCaml int), parallelised across OCaml 5
       domains as independent runs merged k-way — a full key
@@ -17,8 +16,9 @@
       split-heavy ({!Pk_core.Layout.gap_fill}).
 
     The in-place variant of the pipeline is [ops.compact] on any
-    {!Pk_core.Index.t}; this module provides the cross-index /
-    from-journal forms plus the sort stage itself. *)
+    {!Pk_core.Index.t}; this module provides the cross-index form plus
+    the sort stage itself.  Crash recovery is
+    {!Pk_core.Engine.recover}'s alone. *)
 
 module Key = Pk_keys.Key
 module Index = Pk_core.Index
@@ -79,19 +79,3 @@ val rebuild :
     load (default [gap] 0.1).  Rebuilding an index into a fresh target
     preserves rids, so lookups against the rebuilt tree return
     byte-identical results. *)
-
-val recover :
-  ?node_bytes:int ->
-  ?domains:int ->
-  ?gap:float ->
-  key_len:int ->
-  tag:string ->
-  Pk_journal.Journal.t ->
-  Pk_mem.Mem.t * Pk_records.Record_store.t * Index.t * stats
-(** Pipeline crash recovery by registry tag: fold the journal's
-    committed prefix into an {e unordered} logical state (insert of a
-    present key and delete of an absent key are no-ops, exactly as in
-    {!Pk_core.Engine.recover}), parallel-sort it, gapped-bulk-load all
-    committed batches but the last, then replay the final batch
-    incrementally.  The recovered index is deep-validated.  Returns
-    the fresh memory system, record store, index and sort stats. *)

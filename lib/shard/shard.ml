@@ -201,11 +201,6 @@ module Engine = struct
       end
     done
 
-  let lookup_batch_aux lookup_into keys =
-    let out = Array.make (Array.length keys) (-1) in
-    lookup_into keys out;
-    Array.map (fun rid -> if rid < 0 then None else Some rid) out
-
   (* {2 Merged iteration} — a persistent k-way merge of the per-shard
      cursors; shards partition the keyspace, so the merge of ascending
      per-shard sequences is the ascending global sequence. *)
@@ -280,7 +275,6 @@ module Engine = struct
       lookup = (fun key -> subs.(Partition.route part key).Index.lookup key);
       delete = (fun _ -> read_only "delete");
       lookup_into;
-      lookup_batch = (fun keys -> lookup_batch_aux lookup_into keys);
       insert_batch = (fun _ ~rids:_ -> read_only "insert_batch");
       delete_batch = (fun _ -> read_only "delete_batch");
       of_sorted = (fun ?gap:_ ~fill:_ _ -> read_only "of_sorted");
@@ -445,7 +439,6 @@ module Engine = struct
           let s = routed_mut key in
           Mutex.protect s.lock (fun () -> s.ix.Index.delete key));
       lookup_into;
-      lookup_batch = (fun keys -> lookup_batch_aux lookup_into keys);
       insert_batch;
       delete_batch;
       of_sorted;

@@ -65,28 +65,23 @@ let check_batch_lookup (name, make) seed =
   let singles = Array.map ix.Index.lookup probes in
   let derefs_singles = ix.Index.deref_count () in
   ix.Index.reset_counters ();
-  let batched = ix.Index.lookup_batch probes in
+  (* An out array longer than the batch: slots past it stay untouched. *)
+  let out = Array.make (m + 3) 99 in
+  ix.Index.lookup_into probes out;
   let derefs_batch = ix.Index.deref_count () in
   Array.iteri
     (fun i want ->
-      if batched.(i) <> want then
-        Alcotest.failf "%s (seed %d): probe %d (%s): batch %s, single %s" name seed i
-          (Key.to_hex probes.(i))
-          (match batched.(i) with None -> "None" | Some r -> string_of_int r)
+      let expect = match want with None -> -1 | Some r -> r in
+      if out.(i) <> expect then
+        Alcotest.failf "%s (seed %d): probe %d (%s): batch %d, single %s" name seed i
+          (Key.to_hex probes.(i)) out.(i)
           (match want with None -> "None" | Some r -> string_of_int r))
     singles;
+  if out.(m) <> 99 || out.(m + 2) <> 99 then Alcotest.failf "%s: slot past the batch written" name;
   (* A3 still holds on the batched path: same dereference total. *)
   if derefs_batch <> derefs_singles then
     Alcotest.failf "%s (seed %d): batch derefs %d <> singles derefs %d" name seed derefs_batch
       derefs_singles;
-  (* lookup_into: sentinel contract and out-array reuse. *)
-  let out = Array.make (m + 3) 99 in
-  ix.Index.lookup_into probes out;
-  Array.iteri
-    (fun i want ->
-      let expect = match want with None -> -1 | Some r -> r in
-      if out.(i) <> expect then Alcotest.failf "%s: lookup_into slot %d" name i)
-    singles;
   true
 
 (* {2 Batched mutations == singles in batch order} *)
@@ -156,11 +151,11 @@ let check_bulk_load (name, make) seed =
           | _ -> Alcotest.failf "%s fill %.2f: lookup %s after bulk load" name fill (Key.to_hex k))
         entries;
       (* The batched path agrees on the bulk-loaded shape too. *)
-      let got = bulk.Index.lookup_batch keys in
+      let got = Array.make n (-1) in
+      bulk.Index.lookup_into keys got;
       Array.iteri
         (fun i r ->
-          if r <> Some (snd entries.(i)) then
-            Alcotest.failf "%s fill %.2f: batch lookup on bulk" name fill)
+          if r <> snd entries.(i) then Alcotest.failf "%s fill %.2f: batch lookup on bulk" name fill)
         got;
       (* Same contents as an incremental build over shuffled input. *)
       let mem2, rec2 = Support.make_env () in
@@ -232,10 +227,12 @@ let test_fill_clamped () =
 
    Steady-state [lookup_into] must not allocate per probe for the
    direct and indirect schemes (the partial path allocates FINDNODE
-   results; the prefix tree materialises suffixes). *)
+   results; the prefix tree materialises suffixes), and a single
+   [lookup] — a one-probe batch over the tree's one-slot scratch — may
+   allocate only its [Some] box. *)
 
-let test_zero_alloc () =
-  List.iter
+let zero_alloc_indexes () =
+  List.map
     (fun (sname, st, scheme) ->
       let mem, records = Support.make_env () in
       let ix = Index.make st scheme mem records in
@@ -247,23 +244,7 @@ let test_zero_alloc () =
           let rid = Record_store.insert records ~key:k ~payload:Bytes.empty in
           ignore (ix.Index.insert k ~rid))
         keys;
-      let m = 256 in
-      let probes = Array.init m (fun _ -> keys.(Prng.int rng n)) in
-      let out = Array.make m (-1) in
-      (* Warm-up: grow scratch arrays to the batch size. *)
-      for _ = 1 to 3 do
-        ix.Index.lookup_into probes out
-      done;
-      let rounds = 10 in
-      let before = Gc.minor_words () in
-      for _ = 1 to rounds do
-        ix.Index.lookup_into probes out
-      done;
-      let delta = Gc.minor_words () -. before in
-      let per_probe = delta /. float_of_int (rounds * m) in
-      if per_probe > 0.1 then
-        Alcotest.failf "%s: %.4f minor words per probe (%.0f over %d probes)" sname per_probe
-          delta (rounds * m))
+      (sname, ix, Array.init 256 (fun _ -> keys.(Prng.int rng n))))
     [
       ("B/direct", Index.B_tree, Layout.Direct { key_len });
       ("B/indirect", Index.B_tree, Layout.Indirect);
@@ -271,20 +252,82 @@ let test_zero_alloc () =
       ("T/indirect", Index.T_tree, Layout.Indirect);
     ]
 
+(* Minor words per call of [f] over [calls] calls, after three warm-up
+   rounds that grow the scratch arrays. *)
+let minor_words_per ~calls f =
+  for _ = 1 to 3 do
+    f ()
+  done;
+  let rounds = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (rounds * calls)
+
+let test_zero_alloc () =
+  List.iter
+    (fun (sname, ix, probes) ->
+      let m = Array.length probes in
+      let out = Array.make m (-1) in
+      let per_probe = minor_words_per ~calls:m (fun () -> ix.Index.lookup_into probes out) in
+      if per_probe > 0.1 then Alcotest.failf "%s: %.4f minor words per probe" sname per_probe)
+    (zero_alloc_indexes ())
+
+let test_zero_alloc_single () =
+  List.iter
+    (fun (sname, ix, probes) ->
+      let m = Array.length probes in
+      let per_call =
+        minor_words_per ~calls:m (fun () ->
+            for i = 0 to m - 1 do
+              ignore (ix.Index.lookup probes.(i) : int option)
+            done)
+      in
+      if per_call > 2.0 then Alcotest.failf "%s: %.4f minor words per single lookup" sname per_call)
+    (zero_alloc_indexes ())
+
+(* Singles between two identical batches run through the tree's one-slot
+   scratch: the second batch must re-aim the scratch at its own arrays
+   and reproduce the first, and the singles must leave the caller's
+   result array alone. *)
+let test_interleaved (name, make) =
+  let ix, _records, keys = build_index make ~seed:17 ~n:400 in
+  let rng = Prng.create 18L in
+  (* Alphabet 9 draws mostly absent keys: misses mixed with hits. *)
+  let others = Keygen.uniform ~rng ~key_len ~alphabet:9 16 in
+  let probes =
+    Array.init 64 (fun i ->
+        if i mod 4 = 3 then others.(i / 4) else keys.(Prng.int rng (Array.length keys)))
+  in
+  let first = Array.make 64 (-2) in
+  ix.Index.lookup_into probes first;
+  let kept = Array.copy first in
+  Array.iteri
+    (fun i k ->
+      let want = if first.(i) < 0 then None else Some first.(i) in
+      if ix.Index.lookup k <> want then Alcotest.failf "%s: single %d disagrees with batch" name i)
+    probes;
+  if first <> kept then Alcotest.failf "%s: singles wrote the caller's result array" name;
+  let again = Array.make 64 (-2) in
+  ix.Index.lookup_into probes again;
+  if again <> first then Alcotest.failf "%s: batch after singles differs" name
+
 (* {2 Edge cases} *)
 
 let test_empty_and_errors () =
   let mem, records = Support.make_env () in
   let ix = Index.make Index.B_tree (Layout.Direct { key_len }) mem records in
   (* Empty batch. *)
-  Alcotest.(check int) "empty batch" 0 (Array.length (ix.Index.lookup_batch [||]));
+  ix.Index.lookup_into [||] [||];
   Alcotest.(check int) "empty insert" 0
     (Array.length (ix.Index.insert_batch [||] ~rids:[||]));
-  (* Batch against an empty index. *)
+  (* Batch and single against an empty index. *)
   let keys = Support.sorted_keys ~seed:5 ~key_len ~alphabet:8 10 in
-  Array.iter
-    (fun r -> if r <> None then Alcotest.fail "empty index returned a hit")
-    (ix.Index.lookup_batch keys);
+  let out = Array.make 10 0 in
+  ix.Index.lookup_into keys out;
+  Array.iter (fun r -> if r <> -1 then Alcotest.fail "empty index returned a hit") out;
+  if ix.Index.lookup keys.(0) <> None then Alcotest.fail "empty index returned a single hit";
   (* Mismatched rids. *)
   (try
      ignore (ix.Index.insert_batch keys ~rids:[| 1 |]);
@@ -314,6 +357,15 @@ let () =
           Alcotest.test_case "errors" `Quick test_bulk_load_errors;
           Alcotest.test_case "fill clamped" `Quick test_fill_clamped;
         ] );
-      ("zero-alloc", [ Alcotest.test_case "direct+indirect lookup_into" `Quick test_zero_alloc ]);
+      ( "zero-alloc",
+        [
+          Alcotest.test_case "direct+indirect lookup_into" `Quick test_zero_alloc;
+          Alcotest.test_case "direct+indirect single lookup" `Quick test_zero_alloc_single;
+        ] );
+      ( "interleaved",
+        List.map
+          (fun ((name, _) as maker) ->
+            Alcotest.test_case name `Quick (fun () -> test_interleaved maker))
+          makers );
       ("edges", [ Alcotest.test_case "empty and errors" `Quick test_empty_and_errors ]);
     ]

@@ -370,6 +370,63 @@ let test_zero_alloc_lookup_with_tracing () =
         (fun () -> ix.Index.lookup_into probes out))
     [ "B-direct"; "B-indirect"; "T-direct"; "T-indirect" ]
 
+(* {2 Descent trail of a single lookup}
+
+   A single lookup descends through the same router hooks as a batch,
+   and those hooks emit the trail: one [Route] per internal node the
+   probe passes, naming the visited nodes in order.  The T-tree's
+   FINDTTREE descent has no child index to report and routes nothing. *)
+
+let test_single_lookup_routes () =
+  List.iter
+    (fun (tag, routes) ->
+      let mem, records = Support.make_env () in
+      let ix = Index.Registry.build ~key_len:12 tag mem records in
+      let keys = Support.sorted_keys ~seed:41 ~key_len:12 ~alphabet:8 3000 in
+      Array.iter
+        (fun key ->
+          let rid = Record_store.insert records ~key ~payload:Bytes.empty in
+          ignore (ix.Index.insert key ~rid))
+        (Support.shuffled ~seed:42 keys);
+      let height = ix.Index.height () in
+      if routes && height < 3 then Alcotest.failf "%s: height %d too low to test" tag height;
+      let present = Hashtbl.create 3000 in
+      Array.iter (fun k -> Hashtbl.replace present k ()) keys;
+      let absent =
+        Support.sorted_keys ~seed:43 ~key_len:12 ~alphabet:9 60
+        |> Array.to_list
+        |> List.filter (fun k -> not (Hashtbl.mem present k))
+      in
+      Obs.Trace.enable ~capacity:1024 ix.Index.trace;
+      let probe k =
+        ignore (Obs.Trace.drain ix.Index.trace);
+        ignore (ix.Index.lookup k : int option);
+        let evs, _ = Obs.Trace.drain ix.Index.trace in
+        let nodes kind =
+          List.filter_map (fun (e : Obs.Trace.event) -> if kind e.kind then Some e.a else None) evs
+        in
+        ( nodes (function Obs.Trace.Visit -> true | _ -> false),
+          nodes (function Obs.Trace.Route -> true | _ -> false) )
+      in
+      let check k =
+        let visits, route_nodes = probe k in
+        let expect = if routes then List.filteri (fun i _ -> i < List.length visits - 1) visits else [] in
+        if route_nodes <> expect then
+          Alcotest.failf "%s: %s routed through %d nodes, visited %d" tag (Pk_keys.Key.to_hex k)
+            (List.length route_nodes) (List.length visits);
+        List.length route_nodes
+      in
+      Array.iteri (fun i k -> if i mod 30 = 0 then ignore (check k : int)) keys;
+      (* An absent key always descends to a leaf. *)
+      List.iter
+        (fun k ->
+          let n = check k in
+          if routes && n <> height - 1 then
+            Alcotest.failf "%s: absent key routed %d times at height %d" tag n height)
+        absent;
+      Obs.Trace.disable ix.Index.trace)
+    [ ("pkB", true); ("B+/prefix", true); ("pkT", false) ]
+
 let () =
   Alcotest.run "pk_obs"
     [
@@ -391,6 +448,8 @@ let () =
           Alcotest.test_case "re-enable keeps contents, capacity rounds" `Quick
             test_ring_reenable_and_rounding;
           Alcotest.test_case "emit_sign maps comparison outcomes" `Quick test_emit_sign;
+          Alcotest.test_case "single lookups route once per internal node" `Quick
+            test_single_lookup_routes;
         ] );
       ( "export",
         [
