@@ -1,24 +1,24 @@
-(* Command-line chaos runner: seeded random op schedules against every
-   index configuration, cross-checked against a Map oracle, optionally
-   with fault injection.  Schedules run one by one so a divergence
-   never hides the rest of the matrix: every failure is reported with
-   its replay seed, and the exit status is non-zero if ANY schedule
-   failed.  CI runs a short fixed-seed classic pass and a 1000-schedule
-   kill-and-recover pass ([-kind recover], or PK_CHAOS_KIND=recover). *)
+(* Command-line chaos runner: seeded op streams against every registered
+   scheme, cross-checked against a Map oracle, optionally with fault
+   injection.  Schedules run one by one so a divergence never hides the
+   rest of the matrix: every failure — wrong answer or any exception out
+   of the index — is reported with its seed and shrunk op list, and the
+   exit status is non-zero if ANY schedule failed.  CI runs a short
+   fixed-seed classic pass and a 1000-schedule kill-and-recover pass
+   ([-kind recover]). *)
 
 module Chaos = Pk_chaos.Chaos
+module Opstream = Chaos.Opstream
 
-type schedule_kind = Classic | Recover | Rebuild | Parallel
+type schedule_kind = Stream of Opstream.mode | Parallel
 
 let kind_of_string = function
-  | "classic" -> Classic
-  | "recover" -> Recover
-  | "rebuild" -> Rebuild
+  | "classic" -> Stream Opstream.Classic
+  | "recover" -> Stream Opstream.Recover
   | "parallel" -> Parallel
   | s ->
       invalid_arg
-        (Printf.sprintf "unknown schedule kind %S; valid kinds: classic, recover, rebuild, parallel"
-           s)
+        (Printf.sprintf "unknown schedule kind %S; valid kinds: classic, recover, parallel" s)
 
 let () =
   let seeds = ref 50 in
@@ -27,25 +27,20 @@ let () =
   let faults = ref true in
   let alphabet = ref 0 in
   let trees = ref "" in
-  let kind =
-    ref (match Sys.getenv_opt "PK_CHAOS_KIND" with Some k -> k | None -> "classic")
-  in
+  let kind = ref "classic" in
   let readers = ref 2 in
   let shards = ref 4 in
   let spec =
     [
-      ("-seeds", Arg.Set_int seeds, "N  number of seeds per tree (default 50)");
+      ("-seeds", Arg.Set_int seeds, "N  number of seeds per tag (default 50)");
       ("-base", Arg.Set_int base, "N  first seed (default 1)");
       ("-ops", Arg.Set_int ops, "N  operations per schedule (default 120)");
       ("-no-faults", Arg.Clear faults, "  pure differential mode, no injection");
       ("-alphabet", Arg.Set_int alphabet, "N  fix the per-byte alphabet (default seed-derived)");
       ( "-trees",
         Arg.Set_string trees,
-        "LIST  comma-separated subset of T,B,pkT,pkB,prefix (default all; classic kind), or \
-         of the registry tags (recover kind)" );
-      ( "-kind",
-        Arg.Set_string kind,
-        "KIND  classic | recover | rebuild | parallel (default $PK_CHAOS_KIND or classic)" );
+        "LIST  comma-separated registry tags, e.g. pkB,B+/prefix,hybrid (default all)" );
+      ("-kind", Arg.Set_string kind, "KIND  classic | recover | parallel (default classic)");
       ("-readers", Arg.Set_int readers, "N  reader domains per parallel schedule (default 2)");
       ("-shards", Arg.Set_int shards, "N  shards per parallel schedule (default 4)");
     ]
@@ -53,106 +48,66 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "chaos_main [options]: differential chaos testing of the index structures";
-  let kind =
-    try kind_of_string !kind
-    with Invalid_argument msg ->
-      Printf.eprintf "chaos_main: %s\n" msg;
-      exit 2
+  let usage_error msg =
+    Printf.eprintf "chaos_main: %s\n" msg;
+    exit 2
+  in
+  let kind = try kind_of_string !kind with Invalid_argument msg -> usage_error msg in
+  let tags =
+    let known = Opstream.tags () in
+    if !trees = "" then known
+    else
+      List.map
+        (fun t ->
+          if List.mem t known then t
+          else
+            usage_error
+              (Printf.sprintf "unknown scheme tag %S; valid tags: %s" t (String.concat ", " known)))
+        (String.split_on_char ',' !trees)
   in
   let seed_list = List.init !seeds (fun i -> !base + i) in
   let plan = if !faults then fun ~seed -> Chaos.default_fault_plan ~seed else fun ~seed:_ -> [] in
   let alphabet = if !alphabet = 0 then None else Some !alphabet in
-  (* Run schedule by schedule, collecting every failure: a single bad
-     seed must fail the run without silencing later schedules. *)
   let failures = ref 0 in
-  let total = ref Chaos.zero in
-  let schedules = ref 0 in
-  let restarts = ref 0 in
-  let run_one label f =
-    incr schedules;
-    match f () with
-    | o -> total := Chaos.add !total o
-    | exception Failure msg ->
-        incr failures;
-        Printf.eprintf "chaos FAILURE (%s): %s\n%!" label msg
+  let report msg =
+    incr failures;
+    Printf.eprintf "chaos FAILURE %s\n%!" msg
   in
-  (match kind with
-  | Classic ->
-      let trees =
-        if !trees = "" then Chaos.all_trees
-        else
-          try List.map Chaos.tree_of_tag (String.split_on_char ',' !trees)
-          with Invalid_argument msg ->
-            Printf.eprintf "chaos_main: %s\n" msg;
-            exit 2
-      in
-      List.iter
-        (fun seed ->
-          List.iter
-            (fun tree ->
-              run_one
-                (Printf.sprintf "tree=%s seed=%d" (Chaos.tree_tag tree) seed)
-                (fun () ->
-                  Chaos.run_schedule ~faults:(plan ~seed) ?alphabet ~tree ~seed ~ops:!ops ()))
-            trees)
-        seed_list
-  | (Recover | Rebuild) as k ->
-      let tags =
-        if !trees = "" then Chaos.recover_tags ()
-        else begin
-          let known = Chaos.recover_tags () in
-          let asked = String.split_on_char ',' !trees in
-          List.iter
-            (fun t ->
-              if not (List.mem t known) then begin
-                Printf.eprintf "chaos_main: unknown scheme tag %S; valid tags: %s\n" t
-                  (String.concat ", " known);
-                exit 2
-              end)
-            asked;
-          asked
-        end
-      in
-      let schedule =
-        match k with
-        | Rebuild -> Chaos.run_rebuild_schedule
-        | Classic | Recover | Parallel -> Chaos.run_recover_schedule
-      in
-      List.iter
-        (fun seed ->
-          List.iter
-            (fun tag ->
-              run_one
-                (Printf.sprintf "tag=%s seed=%d" tag seed)
-                (fun () -> schedule ~faults:(plan ~seed) ~tag ~seed ~ops:!ops ()))
-            tags)
-        seed_list
-  | Parallel ->
-      List.iter
-        (fun seed ->
-          run_one
-            (Printf.sprintf "parallel seed=%d" seed)
-            (fun () ->
-              let o, r =
+  let restarts = ref 0 in
+  let schedules, total =
+    match kind with
+    | Stream mode ->
+        ( List.length seed_list * List.length tags,
+          Opstream.suite ~faults:plan ?alphabet ~tags ~mode ~seeds:seed_list ~ops:!ops
+            ~on_failure:report () )
+    | Parallel ->
+        ( List.length seed_list,
+          List.fold_left
+            (fun total seed ->
+              match
                 Chaos.run_parallel_schedule ~readers:!readers ~shards:!shards ~seed ~ops:!ops ()
-              in
-              restarts := !restarts + r;
-              o))
-        seed_list);
-  let o = !total in
+              with
+              | o, r ->
+                  restarts := !restarts + r;
+                  Chaos.add total o
+              | exception e ->
+                  report (Printf.sprintf "[parallel seed=%d] %s" seed (Printexc.to_string e));
+                  total)
+            Chaos.zero seed_list )
+  in
   Printf.printf
     "chaos[%s]: %d schedules, %d ops, %d applied, %d injected, %d validations, %d failures%s\n"
     (match kind with
-    | Classic -> "classic"
-    | Recover -> "recover"
-    | Rebuild -> "rebuild"
+    | Stream Opstream.Classic -> "classic"
+    | Stream Opstream.Recover -> "recover"
     | Parallel -> "parallel")
-    !schedules o.Chaos.ops o.Chaos.applied o.Chaos.injected o.Chaos.validations !failures
+    schedules total.Chaos.ops total.Chaos.applied total.Chaos.injected total.Chaos.validations
+    !failures
     (match kind with
     | Parallel -> Printf.sprintf ", %d reader restarts" !restarts
-    | Classic | Recover | Rebuild -> "");
+    | Stream _ -> "");
   if !failures > 0 then begin
-    Printf.eprintf "chaos: %d of %d schedules failed; metrics at exit:\n" !failures !schedules;
+    Printf.eprintf "chaos: %d of %d schedules failed; metrics at exit:\n" !failures schedules;
     prerr_string (Pk_obs.Obs.prometheus Pk_obs.Obs.Registry.default);
     exit 1
   end

@@ -200,10 +200,11 @@ let snapshot_cmd =
     let rec_s = Unix.gettimeofday () -. t2 in
     Printf.printf
       "recovery        %s keys in %.2fs: %d batches, %d ops (%d bulk + %d tail), %d \
-       uncommitted skipped\n"
+       uncommitted skipped, %d torn bytes dropped\n"
       (Tables.fmt_int (recovered.Index.count ()))
       rec_s st.Pk_core.Engine.rec_batches st.Pk_core.Engine.rec_ops
-      st.Pk_core.Engine.rec_bulk st.Pk_core.Engine.rec_tail st.Pk_core.Engine.rec_skipped;
+      st.Pk_core.Engine.rec_bulk st.Pk_core.Engine.rec_tail st.Pk_core.Engine.rec_skipped
+      st.Pk_core.Engine.rec_torn;
     if recovered.Index.count () <> ix.Index.count () then failwith "recovery diverged";
     if metrics then begin
       print_newline ();

@@ -203,6 +203,9 @@ let run_journal path limit =
   Printf.printf "journal  %s: %s, %d records, %d commits, last batch %d\n" path
     (Tables.fmt_bytes (Journal.byte_size j))
     (Journal.record_count j) (Journal.commit_count j) (Journal.last_batch j);
+  if Journal.torn_bytes j > 0 then
+    Printf.printf "         torn tail: %d bytes of an incomplete final record dropped\n"
+      (Journal.torn_bytes j);
   let uncommitted = ref 0 in
   Journal.iter_records j (fun ~off:_ ~batch op ->
       match op with

@@ -5,8 +5,7 @@ module Keygen = Pk_keys.Keygen
 module Mem = Pk_mem.Mem
 module Record_store = Pk_records.Record_store
 module Index = Pk_core.Index
-module Layout = Pk_core.Layout
-module Partial_key = Pk_partialkey.Partial_key
+module Journal = Pk_journal.Journal
 module Obs = Pk_obs.Obs
 
 module KMap = Map.Make (struct
@@ -21,19 +20,6 @@ end)
 let rid_opt_eq = Option.equal Int.equal
 let kv_eq (k1, r1) (k2, r2) = Key.compare k1 k2 = 0 && Int.equal r1 r2
 let kv_list_eq = List.equal kv_eq
-
-type tree = T | B | PkT | PkB | Prefix
-
-let all_trees = [ T; B; PkT; PkB; Prefix ]
-let tree_tag = function T -> "T" | B -> "B" | PkT -> "pkT" | PkB -> "pkB" | Prefix -> "prefix"
-
-let tree_of_tag tag =
-  match List.find_opt (fun t -> String.equal (tree_tag t) tag) all_trees with
-  | Some t -> t
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown tree %S; valid trees: %s" tag
-           (String.concat ", " (List.map tree_tag all_trees)))
 
 type fault_plan = (string * Fault.schedule) list
 
@@ -85,591 +71,416 @@ let add a b =
     validations = a.validations + b.validations;
   }
 
-(* Seed-derived index configuration.  Node size, key length, byte
-   entropy and key scheme all vary with the seed so the suite sweeps
-   the configuration space instead of one corner of it. *)
-let build_index rng tree mem records =
-  let node_bytes = [| 128; 192; 256 |].(Prng.int rng 3) in
-  let key_len = 8 + Prng.int rng 9 in
-  let baseline () = if Prng.bool rng then Layout.Direct { key_len } else Layout.Indirect in
-  let partial () =
-    let granularity = if Prng.bool rng then Partial_key.Byte else Partial_key.Bit in
-    let l_bytes = [| 0; 2; 4 |].(Prng.int rng 3) in
-    Layout.Partial { granularity; l_bytes }
-  in
-  let ix =
-    match tree with
-    | T -> Index.make ~node_bytes Index.T_tree (baseline ()) mem records
-    | B -> Index.make ~node_bytes Index.B_tree (baseline ()) mem records
-    | PkT -> Index.make ~node_bytes Index.T_tree (partial ()) mem records
-    | PkB -> Index.make ~node_bytes Index.B_tree (partial ()) mem records
-    | Prefix -> Index.make_prefix_btree ~node_bytes mem records
-  in
-  (ix, key_len)
+(* {2 The op-stream oracle}
 
-let run_schedule ?(faults = []) ?alphabet ~tree ~seed ~ops () =
-  Fault.reset ~seed ();
-  List.iter (fun (site, sched) -> Fault.arm site sched) faults;
-  Fun.protect ~finally:(fun () -> Fault.reset ()) @@ fun () ->
-  let rng = Prng.create (Int64.of_int seed) in
-  let mem = Mem.create () in
-  let records = Record_store.create mem in
-  let ix, key_len = build_index rng tree mem records in
-  (* Trace every schedule: a failing counterexample arrives with the
-     final descents that led to it (ring keeps the most recent 256). *)
-  Obs.Trace.enable ~capacity:256 ix.Index.trace;
-  let seed_alpha = [| 2; 12; 64; 220; 256 |].(Prng.int rng 5) in
-  let alphabet = Option.value alphabet ~default:seed_alpha in
-  let n_pool = 32 + Prng.int rng 33 in
-  let pool = Keygen.uniform ~rng ~key_len ~alphabet n_pool in
-  let oracle = ref KMap.empty in
-  let applied = ref 0 and injected = ref 0 and validations = ref 0 in
-  (* A fraction of schedules exercise the batched entry points
-     (lookup_into / insert_batch / delete_batch) and seed the index
-     through the bottom-up bulk loader instead of one-at-a-time
-     inserts, so the access-path layer sees the same fault plans and
-     oracle discipline as the classic operations. *)
-  let use_batched = Prng.int rng 2 = 0 in
-  let use_bulk = Prng.int rng 4 = 0 in
-  let fail ~op fmt =
-    Printf.ksprintf
-      (fun msg ->
-        (* Dump the descent trail leading up to the failure; the ring
-           holds the most recent window, writers were never stopped. *)
-        let events, dropped = Obs.Trace.drain ix.Index.trace in
-        let keep = 40 in
-        let n = List.length events in
-        let tail = List.filteri (fun i _ -> i >= n - keep) events in
-        let elided = dropped + (n - List.length tail) in
-        if elided > 0 then Printf.eprintf "[chaos trace] ... %d earlier events elided\n" elided;
-        List.iter (fun e -> Printf.eprintf "[chaos trace] %s\n" (Obs.Trace.event_to_string e)) tail;
-        failwith
-          (Printf.sprintf "[chaos seed=%d tree=%s op=%d] %s (replay: seed %d)" seed
-             (tree_tag tree) op msg seed))
-      fmt
-  in
-  (* The deep validator and all oracle bookkeeping run with injection
-     paused: only the index operation under test may fault. *)
-  let deep_validate ~op () =
-    incr validations;
-    Fault.pause (fun () ->
-        try ix.Index.validate ()
-        with Failure msg -> fail ~op "deep validator failed after injection: %s" msg)
-  in
-  let check_key ~op ~what key =
-    Fault.pause (fun () ->
-        let got = ix.Index.lookup key in
-        let want = KMap.find_opt key !oracle in
-        if not (rid_opt_eq got want) then
-          fail ~op "%s: lookup %s returned %s, oracle says %s" what (Key.to_hex key)
-            (match got with None -> "None" | Some r -> string_of_int r)
-            (match want with None -> "None" | Some r -> string_of_int r))
-  in
-  (* The chaos harness is the designated consumer of injected faults:
-     it records the site and differentially validates the unwind. *)
+   One generator, one interpreter, one [Map] oracle and one shrinker
+   for every single-writer schedule.  A scenario is plain data, so a
+   failure replays from the printed op list; [Recover] mode is the same
+   stream through the write-ahead journal, killed on an injected fault
+   (seeded coin) or at stream end and model-checked against the
+   committed prefix after {!Index.recover_with}. *)
+
+module Opstream = struct
+  type config = { node_bytes : int; key_len : int; alphabet : int; fill : float }
+
+  type op =
+    | Insert of int
+    | Delete of int
+    | Lookup of int
+    | Range of int * int
+    | Batch_insert of int list
+    | Batch_delete of int list
+    | Batch_lookup of int list
+    | Compact
+
+  type scenario = { seed : int; config : config; pool : Key.t array; bulk : int; ops : op list }
+  type mode = Classic | Recover
+
+  let tags () =
+    Pk_core.Hybrid.ensure_registered ();
+    Pk_core.Variants.ensure_registered ();
+    Pk_shard.Shard.ensure_registered ();
+    Index.Registry.tags ()
+
+  let registry tag sc =
+    Index.Registry.build ~node_bytes:sc.config.node_bytes ~key_len:sc.config.key_len tag
+
+  (* Node size, key length, byte entropy, pool, bulk prefix and the op
+     stream all derive from the seed.  One mix for every mode: each op
+     kind has at least 1/16 weight. *)
+  let generate ?alphabet ~seed ~ops () =
+    let rng = Prng.create (Int64.of_int seed) in
+    let node_bytes = [| 128; 192; 256 |].(Prng.int rng 3) in
+    let key_len = 8 + Prng.int rng 9 in
+    let drawn = [| 2; 12; 64; 220; 256 |].(Prng.int rng 5) in
+    let alphabet = Option.value alphabet ~default:drawn in
+    let n_pool = 32 + Prng.int rng 33 in
+    let pool = Keygen.uniform ~rng ~key_len ~alphabet n_pool in
+    let bulk = if Prng.int rng 4 = 0 then 8 + Prng.int rng (n_pool - 8) else 0 in
+    let fill = 0.5 +. Prng.float rng 0.5 in
+    let key () = Prng.int rng n_pool in
+    let keys () = List.init (Prng.int rng 9) (fun _ -> key ()) in
+    let op _ =
+      match Prng.int rng 16 with
+      | 0 | 1 | 2 | 3 -> Insert (key ())
+      | 4 | 5 | 6 -> Delete (key ())
+      | 7 | 8 -> Lookup (key ())
+      | 9 -> Range (key (), key ())
+      | 10 | 11 -> Batch_insert (keys ())
+      | 12 -> Batch_delete (keys ())
+      | 13 | 14 -> Batch_lookup (keys ())
+      | _ -> Compact
+    in
+    { seed; config = { node_bytes; key_len; alphabet; fill }; pool; bulk; ops = List.init ops op }
+
+  let list f l = "[" ^ String.concat "; " (List.map f l) ^ "]"
+
+  let op_to_string =
+    let ints = list string_of_int in
+    function
+    | Insert i -> Printf.sprintf "Insert %d" i
+    | Delete i -> Printf.sprintf "Delete %d" i
+    | Lookup i -> Printf.sprintf "Lookup %d" i
+    | Range (i, j) -> Printf.sprintf "Range (%d, %d)" i j
+    | Batch_insert l -> "Batch_insert " ^ ints l
+    | Batch_delete l -> "Batch_delete " ^ ints l
+    | Batch_lookup l -> "Batch_lookup " ^ ints l
+    | Compact -> "Compact"
+
+  let to_string sc =
+    Printf.sprintf "seed %d, alphabet %d, bulk %d, %d ops: %s" sc.seed sc.config.alphabet sc.bulk
+      (List.length sc.ops) (list op_to_string sc.ops)
+
+  (* Payload bytes and the kill coin are pure functions of the seed and
+     the op's position, so a shrunk stream replays them exactly. *)
+  let draw sc ~pos ~slot = Prng.create (Int64.of_int ((((sc.seed * 8191) + pos) * 257) + slot))
+
+  let payload sc ~pos ~slot =
+    let rng = draw sc ~pos ~slot in
+    Bytes.init (Prng.int rng 13) (fun _ -> Char.chr (Prng.int rng 256))
+
+  let kill_coin sc ~pos = Prng.bool (draw sc ~pos ~slot:256)
+
+  exception Diverged of string
+
+  let diverge fmt = Printf.ksprintf (fun s -> raise (Diverged s)) fmt
+
+  let collect walk =
+    let acc = ref [] in
+    walk (fun ~key ~rid -> acc := (key, rid) :: !acc);
+    List.rev !acc
+
+  let show_rid = function None -> "None" | Some r -> string_of_int r
+
+  (* The interpreter is the designated consumer of injected faults: it
+     records the site and differentially validates the unwind. *)
   let attempt f =
     (try Ok (f ()) with Fault.Injected site -> Error site) [@pklint.allow "no-swallow"]
-  in
-  (* Bulk-seeded schedules: load a sorted slice of the pool bottom-up
-     before the operation stream starts.  The loader runs with faults
-     armed; an injected abort must leave the index empty and valid. *)
-  if use_bulk then begin
-    let m = 8 + Prng.int rng (n_pool - 8) in
-    let seed_keys = Array.sub pool 0 m in
-    Array.sort Key.compare seed_keys;
-    let pairs =
-      Array.map
-        (fun k ->
-          (k, Fault.pause (fun () -> Record_store.insert records ~key:k ~payload:Bytes.empty)))
-        seed_keys
+
+  let run ?(faults = []) ~mode ~build sc =
+    Fault.reset ~seed:sc.seed ();
+    List.iter (fun (site, sched) -> Fault.arm site sched) faults;
+    Fun.protect ~finally:(fun () -> Fault.reset ()) @@ fun () ->
+    (* Op position: 0 is the bulk load; one past the last op run is the
+       end-of-stream sweep. *)
+    let pos = ref 0 in
+    let applied = ref 0 and injected = ref 0 and validations = ref 0 in
+    (* key -> (rid, payload bytes) *)
+    let oracle = ref KMap.empty in
+    let killed = ref false in
+    (* Trace every stream: a divergence report ends with the last
+       descents of the index it was found on (the ring keeps 256). *)
+    let traced = ref None in
+    let trace ix =
+      Obs.Trace.enable ~capacity:256 ix.Index.trace;
+      traced := Some ix.Index.trace;
+      ix
     in
-    let fill = 0.5 +. Prng.float rng 0.5 in
-    match attempt (fun () -> ix.Index.of_sorted ~fill pairs) with
-    | Ok () ->
-        Array.iter (fun (k, rid) -> oracle := KMap.add k rid !oracle) pairs;
-        applied := !applied + m
-    | Error site ->
-        incr injected;
-        deep_validate ~op:0 ();
-        Fault.pause (fun () ->
-            if ix.Index.count () <> 0 then
-              fail ~op:0 "bulk load aborted at %s but %d keys remain" site (ix.Index.count ());
-            Array.iter (fun (_, rid) -> Record_store.delete records rid) pairs)
-  end;
-  let batch_of_pool () =
-    let m = 2 + Prng.int rng 7 in
-    Array.init m (fun _ -> pool.(Prng.int rng n_pool))
-  in
-  let check_batch_keys ~op ~what keys = Array.iter (fun k -> check_key ~op ~what k) keys in
-  (* Batched mutations promise singles-in-batch-order results and
-     all-or-nothing unwinding, so the oracle simulates slot by slot and
-     an abort must leave every batch key untouched. *)
-  let batch_insert ~op () =
-    let keys = batch_of_pool () in
-    let rids =
-      Array.map
-        (fun k -> Fault.pause (fun () -> Record_store.insert records ~key:k ~payload:Bytes.empty))
-        keys
+    let trail () =
+      match !traced with
+      | None -> ""
+      | Some ring ->
+          let events, _ = Obs.Trace.drain ring in
+          let skip = List.length events - 40 in
+          List.filteri (fun i _ -> i >= skip) events
+          |> List.map (fun e -> "\n    [trace] " ^ Obs.Trace.event_to_string e)
+          |> String.concat ""
     in
-    let sim = ref !oracle in
-    let expected =
-      Array.mapi
-        (fun i k ->
-          if KMap.mem k !sim then false
-          else begin
-            sim := KMap.add k rids.(i) !sim;
-            true
-          end)
-        keys
+    (* Entries agree when keys match, the rid resolves to the key and
+       the payload bytes, and — unless a recovery re-assigned record
+       ids ([rids = false]) — the rid itself matches. *)
+    let agrees records ~rids (k, rid) (wk, (wrid, wpay)) =
+      Key.equal k wk
+      && ((not rids) || Int.equal rid wrid)
+      && Key.equal (Record_store.read_key records rid) k
+      && Bytes.equal (Record_store.read_payload records rid) wpay
     in
-    match attempt (fun () -> ix.Index.insert_batch keys ~rids) with
-    | Ok res ->
-        Array.iteri
-          (fun i ok ->
-            if ok <> expected.(i) then
-              fail ~op "insert_batch slot %d (%s) returned %b, oracle expected %b" i
-                (Key.to_hex keys.(i)) ok expected.(i);
-            if ok then incr applied
-            else Fault.pause (fun () -> Record_store.delete records rids.(i)))
-          res;
-        oracle := !sim
-    | Error site ->
-        incr injected;
-        Fault.pause (fun () -> Array.iter (Record_store.delete records) rids);
-        deep_validate ~op ();
-        check_batch_keys ~op ~what:(Printf.sprintf "insert_batch aborted at %s" site) keys
-  in
-  let batch_delete ~op () =
-    let keys = batch_of_pool () in
-    let sim = ref !oracle in
-    let freed = ref [] in
-    let expected =
-      Array.map
-        (fun k ->
-          match KMap.find_opt k !sim with
-          | Some rid ->
-              sim := KMap.remove k !sim;
-              freed := rid :: !freed;
-              true
-          | None -> false)
-        keys
+    let all_agree records ~rids got want =
+      List.compare_lengths got want = 0 && List.for_all2 (agrees records ~rids) got want
     in
-    match attempt (fun () -> ix.Index.delete_batch keys) with
-    | Ok res ->
-        Array.iteri
-          (fun i ok ->
-            if ok <> expected.(i) then
-              fail ~op "delete_batch slot %d (%s) returned %b, oracle expected %b" i
-                (Key.to_hex keys.(i)) ok expected.(i);
-            if ok then incr applied)
-          res;
-        Fault.pause (fun () -> List.iter (Record_store.delete records) !freed);
-        oracle := !sim
-    | Error site ->
-        incr injected;
-        deep_validate ~op ();
-        check_batch_keys ~op ~what:(Printf.sprintf "delete_batch aborted at %s" site) keys
-  in
-  let batch_lookup ~op () =
-    let keys = batch_of_pool () in
-    let out = Array.make (Array.length keys) 0 in
-    match attempt (fun () -> ix.Index.lookup_into keys out) with
-    | Ok () ->
-        Array.iteri
-          (fun i got ->
-            let want = Option.value (KMap.find_opt keys.(i) !oracle) ~default:(-1) in
-            if got <> want then
-              fail ~op "lookup_into slot %d (%s) returned %d, oracle says %d" i
-                (Key.to_hex keys.(i)) got want)
-          out
-    | Error _ ->
-        incr injected;
-        deep_validate ~op ()
-  in
-  for op = 1 to ops do
-    let key = pool.(Prng.int rng n_pool) in
-    let r = Prng.int rng 16 in
-    if r < 7 then begin
-      if use_batched && Prng.int rng 4 = 0 then batch_insert ~op ()
-      else begin
-      (* insert *)
-      let rid =
-        Fault.pause (fun () -> Record_store.insert records ~key ~payload:Bytes.empty)
-      in
-      match attempt (fun () -> ix.Index.insert key ~rid) with
-      | Ok ok ->
-          let fresh = not (KMap.mem key !oracle) in
-          if ok <> fresh then
-            fail ~op "insert %s returned %b, oracle expected %b" (Key.to_hex key) ok fresh;
-          if ok then begin
-            oracle := KMap.add key rid !oracle;
-            incr applied
-          end
-          else Fault.pause (fun () -> Record_store.delete records rid)
-      | Error site ->
-          incr injected;
-          Fault.pause (fun () -> Record_store.delete records rid);
-          deep_validate ~op ();
-          check_key ~op ~what:(Printf.sprintf "insert aborted at %s" site) key
-      end
-    end
-    else if r < 12 then begin
-      if use_batched && Prng.int rng 4 = 0 then batch_delete ~op ()
-      else begin
-      (* delete *)
-      match attempt (fun () -> ix.Index.delete key) with
-      | Ok ok ->
-          let expected = KMap.mem key !oracle in
-          if ok <> expected then
-            fail ~op "delete %s returned %b, oracle expected %b" (Key.to_hex key) ok expected;
-          if ok then begin
-            Fault.pause (fun () -> Record_store.delete records (KMap.find key !oracle));
-            oracle := KMap.remove key !oracle;
-            incr applied
-          end
-      | Error site ->
-          incr injected;
-          deep_validate ~op ();
-          check_key ~op ~what:(Printf.sprintf "delete aborted at %s" site) key
-      end
-    end
-    else if r < 15 then begin
-      if use_batched && Prng.int rng 4 = 0 then batch_lookup ~op ()
-      else begin
-      (* lookup *)
-      match attempt (fun () -> ix.Index.lookup key) with
-      | Ok got ->
-          let want = KMap.find_opt key !oracle in
-          if not (rid_opt_eq got want) then
-            fail ~op "lookup %s returned %s, oracle says %s" (Key.to_hex key)
-              (match got with None -> "None" | Some r -> string_of_int r)
-              (match want with None -> "None" | Some r -> string_of_int r)
-      | Error _ ->
-          (* Lookups mutate nothing; an injected read fault is just an
-             aborted query. *)
-          incr injected;
-          deep_validate ~op ()
-      end
-    end
-    else begin
-      (* range over a random key interval, injection paused *)
-      Fault.pause (fun () ->
-          let a = pool.(Prng.int rng n_pool) and b = pool.(Prng.int rng n_pool) in
-          let lo = if Key.compare a b <= 0 then a else b in
-          let hi = if Key.compare a b <= 0 then b else a in
-          let want =
-            KMap.bindings !oracle
-            |> List.filter (fun (k, _) -> Key.compare k lo >= 0 && Key.compare k hi <= 0)
-          in
-          let acc = ref [] in
-          ix.Index.range ~lo ~hi (fun ~key ~rid -> acc := (key, rid) :: !acc);
-          let got = List.rev !acc in
-          if not (kv_list_eq got want) then
-            fail ~op "range [%s, %s]: %d results, oracle has %d" (Key.to_hex lo)
-              (Key.to_hex hi) (List.length got) (List.length want))
-    end
-  done;
-  (* Schedule epilogue: full differential sweep, injection paused. *)
-  Fault.pause (fun () ->
-      (try ix.Index.validate ()
-       with Failure msg -> fail ~op:ops "final deep validation failed: %s" msg);
+    let check_iter ix records ~rids =
+      ix.Index.validate ();
+      let got = collect ix.Index.iter and want = KMap.bindings !oracle in
+      if not (all_agree records ~rids got want) then
+        diverge "iteration diverges from the oracle (%d entries, oracle has %d)"
+          (List.length got) (List.length want)
+    in
+    let check_count ix =
+      if ix.Index.count () <> KMap.cardinal !oracle then
+        diverge "count %d, oracle has %d" (ix.Index.count ()) (KMap.cardinal !oracle)
+    in
+    let sweep ix records ~rids =
       incr validations;
+      check_iter ix records ~rids;
+      check_count ix;
+      if Record_store.count records <> KMap.cardinal !oracle then
+        diverge "record store holds %d records, oracle has %d" (Record_store.count records)
+          (KMap.cardinal !oracle);
       let want = KMap.bindings !oracle in
-      if ix.Index.count () <> List.length want then
-        fail ~op:ops "count %d, oracle has %d" (ix.Index.count ()) (List.length want);
-      let acc = ref [] in
-      ix.Index.iter (fun ~key ~rid -> acc := (key, rid) :: !acc);
-      let got = List.rev !acc in
-      if not (kv_list_eq got want) then fail ~op:ops "full iteration diverges from oracle";
-      let from = pool.(Prng.int rng n_pool) in
-      let want_suffix = List.filter (fun (k, _) -> Key.compare k from >= 0) want in
-      let got_suffix =
-        List.of_seq (Seq.take (List.length want_suffix + 1) (ix.Index.seq_from from))
-      in
-      if not (kv_list_eq got_suffix want_suffix) then
-        fail ~op:ops "seq_from %s diverges from oracle" (Key.to_hex from));
-  { ops; applied = !applied; injected = !injected; validations = !validations }
-
-let run_suite ?(faults = fun ~seed:_ -> []) ?alphabet ?(trees = all_trees) ~seeds ~ops () =
-  List.fold_left
-    (fun acc seed ->
-      List.fold_left
-        (fun acc tree ->
-          add acc (run_schedule ~faults:(faults ~seed) ?alphabet ~tree ~seed ~ops ()))
-        acc trees)
-    zero seeds
-
-(* {2 Kill-and-recover schedules}
-
-   The mutation stream runs through the write-ahead journal wrapper
-   with faults armed; an injected fault aborts an operation mid-batch
-   and, with probability 1/2, "kills the process" on the spot (any
-   schedule also dies at stream end).  The in-memory tree is then
-   dropped entirely, the journal bytes are re-read as a restarted
-   process would read them, and {!Index.recover} rebuilds the scheme —
-   which must match the committed-prefix oracle exactly: same keys in
-   order, every recovered rid resolving to the committed key and
-   payload bytes.  Record ids are not durable, so the oracle tracks
-   (key, payload), never rids, across the crash. *)
-
-module Journal = Pk_journal.Journal
-
-let recover_tags () =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
-  Pk_shard.Shard.ensure_registered ();
-  Index.Registry.tags ()
-
-let recover_core ?(faults = []) ~compact ~tag ~seed ~ops () =
-  Fault.reset ~seed ();
-  List.iter (fun (site, sched) -> Fault.arm site sched) faults;
-  Fun.protect ~finally:(fun () -> Fault.reset ()) @@ fun () ->
-  let rng = Prng.create (Int64.of_int (seed lxor 0x7ec0)) in
-  let mem = Mem.create () in
-  let records = Record_store.create mem in
-  let node_bytes = [| 192; 256 |].(Prng.int rng 2) in
-  let key_len = 8 + Prng.int rng 9 in
-  let ix = Fault.pause (fun () -> Index.Registry.build ~node_bytes ~key_len tag mem records) in
-  let journal = Journal.create () in
-  let jx = Index.journaled journal records ix in
-  let alphabet = [| 12; 64; 220; 256 |].(Prng.int rng 4) in
-  let n_pool = 32 + Prng.int rng 33 in
-  let pool = Keygen.uniform ~rng ~key_len ~alphabet n_pool in
-  let payload () =
-    let n = Prng.int rng 13 in
-    Bytes.init n (fun _ -> Char.chr (Prng.int rng 256))
-  in
-  (* key -> (live rid, payload bytes); committed state only. *)
-  let oracle = ref KMap.empty in
-  let applied = ref 0 and injected = ref 0 and validations = ref 0 in
-  let op = ref 0 in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        failwith
-          (Printf.sprintf "[chaos-%s seed=%d tag=%s op=%d] %s (replay: seed %d)"
-             (if compact then "rebuild" else "recover")
-             seed tag !op msg seed))
-      fmt
-  in
-  let attempt f =
-    (try Ok (f ()) with Fault.Injected site -> Error site) [@pklint.allow "no-swallow"]
-  in
-  let crashed = ref false in
-  let maybe_crash () = if Prng.int rng 2 = 0 then crashed := true in
-  (* A quarter of schedules seed through the journaled bulk loader. *)
-  if Prng.int rng 4 = 0 then begin
-    let m = 8 + Prng.int rng (n_pool - 8) in
-    let seed_keys = Array.sub pool 0 m in
-    Array.sort Key.compare seed_keys;
-    let triples =
-      Array.map
-        (fun k ->
-          let p = payload () in
-          (k, p, Fault.pause (fun () -> Record_store.insert records ~key:k ~payload:p)))
-        seed_keys
-    in
-    let entries = Array.map (fun (k, _, rid) -> (k, rid)) triples in
-    let fill = 0.5 +. Prng.float rng 0.5 in
-    match attempt (fun () -> jx.Index.of_sorted ~fill entries) with
-    | Ok () ->
-        Array.iter (fun (k, p, rid) -> oracle := KMap.add k (rid, p) !oracle) triples;
-        applied := !applied + m
-    | Error _ ->
-        incr injected;
-        Fault.pause (fun () ->
-            Array.iter (fun (_, _, rid) -> Record_store.delete records rid) triples);
-        maybe_crash ()
-  end;
-  while (not !crashed) && !op < ops do
-    incr op;
-    let key = pool.(Prng.int rng n_pool) in
-    let r = Prng.int rng 10 in
-    if r < 4 then begin
-      (* single insert *)
-      let p = payload () in
-      let rid = Fault.pause (fun () -> Record_store.insert records ~key ~payload:p) in
-      match attempt (fun () -> jx.Index.insert key ~rid) with
-      | Ok true ->
-          oracle := KMap.add key (rid, p) !oracle;
-          incr applied
-      | Ok false -> Fault.pause (fun () -> Record_store.delete records rid)
-      | Error _ ->
-          incr injected;
-          Fault.pause (fun () -> Record_store.delete records rid);
-          maybe_crash ()
-    end
-    else if r < 6 then begin
-      (* batch insert: a mid-batch kill leaves the whole batch
-         uncommitted in the journal *)
-      let m = 2 + Prng.int rng 7 in
-      let keys = Array.init m (fun _ -> pool.(Prng.int rng n_pool)) in
-      let pays = Array.init m (fun _ -> payload ()) in
-      let rids =
-        Array.mapi
-          (fun i k ->
-            Fault.pause (fun () -> Record_store.insert records ~key:k ~payload:pays.(i)))
-          keys
-      in
-      match attempt (fun () -> jx.Index.insert_batch keys ~rids) with
-      | Ok res ->
-          Array.iteri
-            (fun i ok ->
-              if ok then begin
-                oracle := KMap.add keys.(i) (rids.(i), pays.(i)) !oracle;
-                incr applied
-              end
-              else Fault.pause (fun () -> Record_store.delete records rids.(i)))
-            res
-      | Error _ ->
-          incr injected;
-          Fault.pause (fun () -> Array.iter (Record_store.delete records) rids);
-          maybe_crash ()
-    end
-    else if r < 8 then begin
-      (* single delete *)
-      match attempt (fun () -> jx.Index.delete key) with
-      | Ok true ->
-          (match KMap.find_opt key !oracle with
-          | Some (rid, _) -> Fault.pause (fun () -> Record_store.delete records rid)
-          | None -> fail "delete returned true for a key the oracle says is absent");
-          oracle := KMap.remove key !oracle;
-          incr applied
-      | Ok false ->
-          if KMap.mem key !oracle then
-            fail "delete returned false for a key the oracle says is present"
-      | Error _ ->
-          incr injected;
-          maybe_crash ()
-    end
-    else if r < 9 then begin
-      (* batch delete *)
-      let m = 2 + Prng.int rng 7 in
-      let keys = Array.init m (fun _ -> pool.(Prng.int rng n_pool)) in
-      match attempt (fun () -> jx.Index.delete_batch keys) with
-      | Ok res ->
-          Array.iteri
-            (fun i ok ->
-              if ok then begin
-                (match KMap.find_opt keys.(i) !oracle with
-                | Some (rid, _) -> Fault.pause (fun () -> Record_store.delete records rid)
-                | None -> fail "delete_batch returned true for an absent key");
-                oracle := KMap.remove keys.(i) !oracle;
-                incr applied
-              end)
-            res
-      | Error _ ->
-          incr injected;
-          maybe_crash ()
-    end
-    else if compact && Prng.int rng 4 = 0 then begin
-      (* In-place compaction through the rebuild pipeline.  It is
-         content-preserving and unlogged (the journal already holds
-         every operation), so whatever happens here — completion,
-         abort, or a kill landing mid-compact — the recovery oracle is
-         unchanged: compaction must be crash-invisible. *)
-      let gap = [| 0.0; 0.1; 0.25 |].(Prng.int rng 3) in
-      match attempt (fun () -> jx.Index.compact ~gap ()) with
-      | Ok () ->
-          incr applied;
-          Fault.pause (fun () ->
-              jx.Index.validate ();
-              if jx.Index.count () <> KMap.cardinal !oracle then
-                fail "count diverges after compact (gap %.2f)" gap);
-          incr validations
-      | Error _ ->
-          incr injected;
-          (* the fault guard must have unwound to the exact
-             pre-compact tree *)
-          Fault.pause (fun () ->
-              jx.Index.validate ();
-              if jx.Index.count () <> KMap.cardinal !oracle then
-                fail "aborted compact did not unwind (gap %.2f)" gap);
-          incr validations;
-          maybe_crash ()
-    end
-    else
-      (* lookup sanity, injection paused *)
-      Fault.pause (fun () ->
-          let got = Option.is_some (jx.Index.lookup key) and want = KMap.mem key !oracle in
-          if got <> want then fail "pre-crash lookup diverges from oracle")
-  done;
-  (* The crash: the in-memory tree is dropped; only the journal bytes
-     survive, re-read exactly as a restarted process would read them. *)
-  let rix, records2, stats =
-    Fault.pause (fun () ->
-        let reread = Journal.of_bytes (Journal.to_bytes journal) in
-        if Journal.byte_size reread <> Journal.byte_size journal then
-          fail "journal changed size across serialization: %d -> %d"
-            (Journal.byte_size journal) (Journal.byte_size reread);
-        let _mem2, records2, rix, stats = Index.recover ~node_bytes ~key_len ~tag reread in
-        (rix, records2, stats))
-  in
-  incr validations (* [recover] deep-validated the rebuilt tree *);
-  (* Model check against the committed-prefix oracle: exact key set in
-     order, every recovered rid resolving to the committed key and
-     payload bytes, spot lookups over the whole pool. *)
-  Fault.pause (fun () ->
-      let want = KMap.bindings !oracle in
-      if rix.Index.count () <> List.length want then
-        fail "recovered count %d, oracle has %d (stats: %d batches, %d ops, %d bulk, %d tail)"
-          (rix.Index.count ()) (List.length want) stats.Pk_core.Engine.rec_batches
-          stats.Pk_core.Engine.rec_ops stats.Pk_core.Engine.rec_bulk
-          stats.Pk_core.Engine.rec_tail;
-      if Record_store.count records2 <> List.length want then
-        fail "recovered record store holds %d records, oracle has %d"
-          (Record_store.count records2) (List.length want);
-      let acc = ref [] in
-      rix.Index.iter (fun ~key ~rid -> acc := (key, rid) :: !acc);
-      let got = List.rev !acc in
-      List.iter2
-        (fun (gk, grid) (wk, (_, wpay)) ->
-          if Key.compare gk wk <> 0 then
-            fail "recovered key order diverges from oracle at %s (want %s)" (Key.to_hex gk)
-              (Key.to_hex wk);
-          let rkey = Record_store.read_key records2 grid in
-          if Key.compare rkey gk <> 0 then
-            fail "recovered rid %d resolves to key %s, expected %s" grid (Key.to_hex rkey)
-              (Key.to_hex gk);
-          let rpay = Record_store.read_payload records2 grid in
-          if not (Bytes.equal rpay wpay) then
-            fail "recovered payload for %s diverges from the committed bytes" (Key.to_hex gk))
-        got want;
       Array.iter
         (fun k ->
-          let got = Option.is_some (rix.Index.lookup k) and want = KMap.mem k !oracle in
-          if got <> want then fail "post-recovery lookup %s diverges from oracle" (Key.to_hex k))
-        pool);
-  incr validations;
-  { ops = !op; applied = !applied; injected = !injected; validations = !validations }
+          let suffix = List.filter (fun (wk, _) -> Key.compare wk k >= 0) want in
+          let got = List.of_seq (Seq.take (List.length suffix + 1) (ix.Index.seq_from k)) in
+          if not (all_agree records ~rids got suffix) then
+            diverge "seq_from %s diverges from the oracle" (Key.to_hex k);
+          match (ix.Index.lookup k, KMap.find_opt k !oracle) with
+          | None, None -> ()
+          | Some rid, Some w when agrees records ~rids (k, rid) (k, w) -> ()
+          | got, _ -> diverge "final lookup %s returned %s" (Key.to_hex k) (show_rid got))
+        sc.pool
+    in
+    let body () =
+      let mem = Mem.create () in
+      let records = Record_store.create mem in
+      let journal = Journal.create () in
+      let ix =
+        Fault.pause (fun () ->
+            let ix = trace (build mem records) in
+            match mode with Classic -> ix | Recover -> Index.journaled journal records ix)
+      in
+      let paused = Fault.pause in
+      let keys idxs = Array.of_list (List.map (fun i -> sc.pool.(i)) idxs) in
+      let free rid = paused (fun () -> Record_store.delete records rid) in
+      let expect what k got =
+        let want = Option.map fst (KMap.find_opt k !oracle) in
+        if not (rid_opt_eq got want) then
+          diverge "%s %s returned %s, oracle says %s" what (Key.to_hex k) (show_rid got)
+            (show_rid want)
+      in
+      let check_slots what keys res =
+        if Array.length res <> Array.length keys then
+          diverge "%s returned %d results for %d keys" what (Array.length res) (Array.length keys)
+      in
+      (* An injected fault must unwind the operation to a no-op: the tree
+         deep-validates, agrees with the oracle, and every key the op
+         touched looks up as before.  In [Recover] mode a seeded coin
+         then kills the process on the spot. *)
+      let aborted site touched =
+        incr injected;
+        incr validations;
+        paused (fun () ->
+            check_iter ix records ~rids:true;
+            Array.iter (fun k -> expect ("lookup after an abort at " ^ site) k (ix.Index.lookup k))
+              touched);
+        match mode with
+        | Recover when kill_coin sc ~pos:!pos -> killed := true
+        | Classic | Recover -> ()
+      in
+      (* Batched results equal singles in batch order, so the oracle
+         steps slot by slot; an abort must leave every key untouched. *)
+      let insert what idxs call =
+        let keys = keys idxs in
+        let pays = Array.mapi (fun slot _ -> payload sc ~pos:!pos ~slot) keys in
+        let rids =
+          paused (fun () ->
+              Array.mapi (fun i k -> Record_store.insert records ~key:k ~payload:pays.(i)) keys)
+        in
+        match attempt (fun () -> call keys rids) with
+        | Error site ->
+            Array.iter free rids;
+            aborted site keys
+        | Ok res ->
+            check_slots what keys res;
+            Array.iteri
+              (fun i ok ->
+                let fresh = not (KMap.mem keys.(i) !oracle) in
+                if ok <> fresh then
+                  diverge "%s slot %d (%s) returned %b, oracle expected %b" what i
+                    (Key.to_hex keys.(i)) ok fresh;
+                if ok then begin
+                  oracle := KMap.add keys.(i) (rids.(i), pays.(i)) !oracle;
+                  incr applied
+                end
+                else free rids.(i))
+              res
+      in
+      let delete what idxs call =
+        let keys = keys idxs in
+        match attempt (fun () -> call keys) with
+        | Error site -> aborted site keys
+        | Ok res ->
+            check_slots what keys res;
+            Array.iteri
+              (fun i ok ->
+                match KMap.find_opt keys.(i) !oracle with
+                | Some (rid, _) when ok ->
+                    free rid;
+                    oracle := KMap.remove keys.(i) !oracle;
+                    incr applied
+                | found ->
+                    if ok || Option.is_some found then
+                      diverge "%s slot %d (%s) returned %b, oracle expected %b" what i
+                        (Key.to_hex keys.(i)) ok (Option.is_some found))
+              res
+      in
+      let lookup what idxs call =
+        let keys = keys idxs in
+        let out = Array.make (Array.length keys) 0 in
+        match attempt (fun () -> call keys out) with
+        | Error site -> aborted site keys
+        | Ok () ->
+            Array.iteri
+              (fun i got ->
+                expect (Printf.sprintf "%s slot %d" what i) keys.(i)
+                  (if got = -1 then None else Some got))
+              out
+      in
+      let apply = function
+        | Insert i -> insert "insert" [ i ] (fun k r -> [| ix.Index.insert k.(0) ~rid:r.(0) |])
+        | Batch_insert l ->
+            insert "insert_batch" l (fun keys rids -> ix.Index.insert_batch keys ~rids)
+        | Delete i -> delete "delete" [ i ] (fun k -> [| ix.Index.delete k.(0) |])
+        | Batch_delete l -> delete "delete_batch" l ix.Index.delete_batch
+        | Lookup i ->
+            lookup "lookup" [ i ] (fun k out ->
+                out.(0) <- Option.value (ix.Index.lookup k.(0)) ~default:(-1))
+        | Batch_lookup l -> lookup "lookup_into" l ix.Index.lookup_into
+        | Range (a, b) ->
+            (* injection paused: ranges hunt ordering bugs, not unwinds *)
+            paused (fun () ->
+                let a = sc.pool.(a) and b = sc.pool.(b) in
+                let lo, hi = if Key.compare a b <= 0 then (a, b) else (b, a) in
+                let want =
+                  KMap.bindings !oracle
+                  |> List.filter (fun (k, _) -> Key.compare k lo >= 0 && Key.compare k hi <= 0)
+                in
+                let got = collect (ix.Index.range ~lo ~hi) in
+                if not (all_agree records ~rids:true got want) then
+                  diverge "range [%s, %s]: %d results, oracle has %d" (Key.to_hex lo)
+                    (Key.to_hex hi) (List.length got) (List.length want))
+        | Compact -> (
+            (* content-preserving and unlogged: the oracle is unchanged *)
+            let gap = [| 0.0; 0.1; 0.25 |].(!pos mod 3) in
+            match attempt (fun () -> ix.Index.compact ~gap ()) with
+            | Ok () -> ()
+            | Error site -> aborted site [||])
+      in
+      if sc.bulk > 0 then
+        insert "of_sorted"
+          (List.sort
+             (fun a b -> Key.compare sc.pool.(a) sc.pool.(b))
+             (List.init sc.bulk Fun.id))
+          (fun keys rids ->
+            ix.Index.of_sorted ~fill:sc.config.fill (Array.map2 (fun k r -> (k, r)) keys rids);
+            Array.map (fun _ -> true) keys);
+      paused (fun () -> check_count ix);
+      List.iter
+        (fun op ->
+          if not !killed then begin
+            incr pos;
+            apply op;
+            paused (fun () ->
+                check_count ix;
+                if !pos mod 16 = 0 then check_iter ix records ~rids:true)
+          end)
+        sc.ops;
+      let ops = !pos in
+      incr pos;
+      paused (fun () ->
+          match mode with
+          | Classic -> sweep ix records ~rids:true
+          | Recover ->
+              (* The crash: the in-memory tree is dropped; only the
+                 journal bytes survive, re-read as a restarted process
+                 would read them, and the same build is recovered from
+                 their committed prefix. *)
+              let reread = Journal.of_bytes (Journal.to_bytes journal) in
+              if Journal.byte_size reread <> Journal.byte_size journal then
+                diverge "journal changed size across serialization: %d -> %d"
+                  (Journal.byte_size journal) (Journal.byte_size reread);
+              let _, records, rix, _ =
+                Index.recover_with ~build:(fun mem records -> trace (build mem records)) reread
+              in
+              incr validations (* [recover] deep-validated the rebuilt tree *);
+              sweep rix records ~rids:false);
+      { ops; applied = !applied; injected = !injected; validations = !validations }
+    in
+    (* Any exception escaping the index is a divergence too, so the
+       shrinker works on crashes as well as wrong answers. *)
+    match body () with
+    | o -> Ok o
+    | exception Diverged msg -> Error (!pos, msg ^ trail ())
+    | exception e ->
+        Error (!pos, "exception " ^ Printexc.to_string e ^ trail ()) [@pklint.allow "no-swallow"]
 
-let run_recover_schedule ?faults ~tag ~seed ~ops () =
-  recover_core ?faults ~compact:false ~tag ~seed ~ops ()
+  (* Delta debugging on the op list: remove contiguous chunks, halving
+     the chunk size down to single ops and keeping any removal that
+     still fails; then try dropping the bulk load. *)
+  let shrink ?faults ~mode ~build sc =
+    let fails sc = Result.is_error (run ?faults ~mode ~build sc) in
+    let unbulk sc =
+      let bare = { sc with bulk = 0 } in
+      if sc.bulk > 0 && fails bare then bare else sc
+    in
+    let rec at_chunk sc chunk =
+      if chunk < 1 then sc
+      else
+        let rec scan i =
+          if i >= List.length sc.ops then None
+          else
+            let cand = { sc with ops = List.filteri (fun j _ -> j < i || j >= i + chunk) sc.ops } in
+            if fails cand then Some cand else scan (i + chunk)
+        in
+        match scan 0 with
+        | Some sc' -> at_chunk sc' (min chunk (max 1 (List.length sc'.ops / 2)))
+        | None -> at_chunk sc (chunk / 2)
+    in
+    unbulk (at_chunk (unbulk sc) (max 1 (List.length sc.ops / 2)))
 
-(* Same stream, with periodic in-place compactions mixed in — the
-   kill can land mid-compact ("engine.compact" / "engine.compact.mid"
-   are armable sites), and the recovery oracle is byte-for-byte the
-   one [run_recover_schedule] uses: compaction is crash-invisible. *)
-let run_rebuild_schedule ?faults ~tag ~seed ~ops () =
-  recover_core ?faults ~compact:true ~tag ~seed ~ops ()
+  let check ?faults ~mode ~build ~label sc =
+    match run ?faults ~mode ~build sc with
+    | Ok o -> Ok o
+    | Error (op, msg) ->
+        let small = shrink ?faults ~mode ~build sc in
+        let replay =
+          match run ?faults ~mode ~build small with
+          | Error (op, msg) -> Printf.sprintf "fails at op %d: %s" op msg
+          | Ok _ -> "no longer fails (nondeterministic index?)"
+        in
+        Error
+          (Printf.sprintf "[chaos %s %s seed=%d op=%d] %s\n  shrunk replay %s\n  %s"
+             (match mode with Classic -> "classic" | Recover -> "recover")
+             label sc.seed op
+             (List.hd (String.split_on_char '\n' msg))
+             replay (to_string small))
 
-let run_recover_suite ?(faults = fun ~seed:_ -> []) ?tags ~seeds ~ops () =
-  let tags = match tags with Some ts -> ts | None -> recover_tags () in
-  List.fold_left
-    (fun acc seed ->
-      List.fold_left
-        (fun acc tag -> add acc (run_recover_schedule ~faults:(faults ~seed) ~tag ~seed ~ops ()))
-        acc tags)
-    zero seeds
-
-let run_rebuild_suite ?(faults = fun ~seed:_ -> []) ?tags ~seeds ~ops () =
-  let tags = match tags with Some ts -> ts | None -> recover_tags () in
-  List.fold_left
-    (fun acc seed ->
-      List.fold_left
-        (fun acc tag -> add acc (run_rebuild_schedule ~faults:(faults ~seed) ~tag ~seed ~ops ()))
-        acc tags)
-    zero seeds
+  let suite ?(faults = fun ~seed:_ -> []) ?alphabet ?tags:only ~mode ~seeds ~ops ~on_failure () =
+    let only = match only with Some ts -> ts | None -> tags () in
+    List.fold_left
+      (fun acc seed ->
+        let sc = generate ?alphabet ~seed ~ops () in
+        List.fold_left
+          (fun acc tag ->
+            match
+              check ~faults:(faults ~seed) ~mode ~build:(registry tag sc) ~label:("tag=" ^ tag) sc
+            with
+            | Ok o -> add acc o
+            | Error report ->
+                on_failure report;
+                acc)
+          acc only)
+      zero seeds
+end
 
 (* {2 Parallel schedules}
 

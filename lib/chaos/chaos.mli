@@ -1,33 +1,18 @@
 (** Chaos + differential harness for the index maintenance paths.
 
-    A {e schedule} is a seeded random interleaving of
-    insert/delete/lookup/range/cursor operations driven against one
-    index configuration and cross-checked, operation by operation,
+    Every single-writer schedule is an {!Opstream} scenario: a seeded
+    stream of insert/delete/lookup/range/batch/compact operations
+    driven against one index and cross-checked, operation by operation,
     against a [Map]-based oracle.  With a {e fault plan} active
     ({!module:Pk_fault.Fault} sites armed), injected faults abort
-    operations mid-split / mid-rotation / mid-merge; the harness then
-    checks that the operation unwound to a no-op and that the tree
-    still passes its deep structural validator.
-
-    Everything — key pool, operation stream, node size, scheme, fault
-    schedules — derives deterministically from the integer seed, so any
-    reported failure replays from the seed alone.  Failures raise
-    [Failure] with a message beginning [\[chaos seed=N tree=T\]]. *)
+    operations mid-split / mid-rotation / mid-merge / mid-compact; the
+    interpreter then checks that the operation unwound to a no-op and
+    that the tree still passes its deep structural validator.  Every
+    divergence is shrunk to a minimal op list and reported with its
+    seed.  {!run_parallel_schedule} is the one multi-domain protocol
+    outside the op stream. *)
 
 module Fault = Pk_fault.Fault
-
-(** The five index configurations of the acceptance matrix.  [T]/[B]
-    use a baseline key scheme (direct or indirect, seed-chosen); [PkT]/
-    [PkB] use partial keys (granularity and [l] seed-chosen);
-    [Prefix] is the prefix B+-tree. *)
-type tree = T | B | PkT | PkB | Prefix
-
-val all_trees : tree list
-val tree_tag : tree -> string
-
-val tree_of_tag : string -> tree
-(** Inverse of {!val:tree_tag}.  Raises [Invalid_argument] listing the
-    valid tags when the tag is unknown. *)
 
 type fault_plan = (string * Fault.schedule) list
 
@@ -40,92 +25,129 @@ val default_fault_plan : seed:int -> fault_plan
 
 type outcome = {
   ops : int;  (** operations attempted *)
-  applied : int;  (** operations that took effect *)
+  applied : int;  (** key mutations that took effect (per key for batches and bulk loads) *)
   injected : int;  (** operations aborted by an injected fault *)
-  validations : int;  (** deep-validator runs (all passed) *)
+  validations : int;
+      (** deep validations after injected faults, plus the end-of-stream
+          checks (the final sweep; in [Recover] mode also the recovery's
+          own deep validation) — the periodic every-16-ops check is not
+          counted *)
 }
 
 val zero : outcome
 val add : outcome -> outcome -> outcome
 
-val run_schedule :
-  ?faults:fault_plan -> ?alphabet:int -> tree:tree -> seed:int -> ops:int -> unit -> outcome
-(** Run one schedule.  Arms [faults] (default none) after a
-    [Fault.reset ~seed], restores a clean fault registry on exit.
-    [alphabet] overrides the seed-derived per-byte alphabet (e.g. 256
-    for full byte entropy).
+(** {1 The op-stream oracle} *)
 
-    A seed-derived fraction of schedules also covers the batched
-    access-path layer: half route a quarter of their operations through
-    [lookup_into] / [insert_batch] / [delete_batch] (results checked
-    slot by slot against the oracle, aborts checked for all-or-nothing
-    unwinding), and a quarter seed the index through the bottom-up bulk
-    loader [of_sorted] with faults armed (an aborted bulk load must
-    leave the index empty and valid). *)
+module Opstream : sig
+  type config = {
+    node_bytes : int;  (** 128, 192 or 256 *)
+    key_len : int;  (** 8–16 *)
+    alphabet : int;  (** per-byte alphabet the pool was drawn from *)
+    fill : float;  (** bulk-load fill factor *)
+  }
 
-val run_suite :
-  ?faults:(seed:int -> fault_plan) ->
-  ?alphabet:int ->
-  ?trees:tree list ->
-  seeds:int list ->
-  ops:int ->
-  unit ->
-  outcome
-(** Run [ops]-operation schedules for every (tree, seed) pair and sum
-    the outcomes.  [faults] builds each schedule's plan from its seed
-    (default: no faults — pure differential mode). *)
+  (** Keys are indices into the scenario's pool. *)
+  type op =
+    | Insert of int
+    | Delete of int
+    | Lookup of int
+    | Range of int * int  (** inclusive, either order *)
+    | Batch_insert of int list
+    | Batch_delete of int list
+    | Batch_lookup of int list  (** through [lookup_into] *)
+    | Compact  (** in place, gap 0, 0.1 or 0.25 by position *)
 
-(** {1 Kill-and-recover schedules} *)
+  type scenario = {
+    seed : int;  (** seeds the fault registry, payloads and the kill coin *)
+    config : config;
+    pool : Pk_keys.Key.t array;  (** distinct keys *)
+    bulk : int;  (** the first [bulk] pool keys are bulk-loaded ([of_sorted]) before [ops] *)
+    ops : op list;
+  }
 
-val recover_tags : unit -> string list
-(** Every registered scheme tag ({!Pk_core.Index.Registry}), with the
-    extension modules' linkage forced first. *)
+  (** [Classic] drives the index directly.  [Recover] wraps it in
+      {!Pk_core.Index.journaled}; on an injected fault a seeded coin
+      kills the process on the spot, and every stream dies at its end.
+      The tree is then dropped, the journal bytes re-read and the same
+      build recovered through {!Pk_core.Index.recover_with} — the
+      body of {!Pk_core.Index.recover} — and checked against the
+      committed-prefix oracle (keys and payload bytes; rids are not
+      durable). *)
+  type mode = Classic | Recover
 
-val run_recover_schedule :
-  ?faults:fault_plan -> tag:string -> seed:int -> ops:int -> unit -> outcome
-(** One kill-and-recover schedule against the registered scheme [tag]:
-    drive a journaled mutation stream (singles, batches, a seed-chosen
-    fraction bulk-loaded) with faults armed; an injected fault aborts
-    the operation mid-batch and kills the process on the spot with
-    probability 1/2 (every schedule also dies at stream end).  The
-    in-memory tree is then dropped, the journal bytes re-read, and
-    {!Pk_core.Index.recover} rebuilds the scheme — checked against the
-    committed-prefix oracle: exact key set in order, every recovered
-    rid resolving to the committed key and payload bytes, spot lookups
-    over the whole key pool.  [injected] counts aborted operations;
-    [validations] counts the recovery deep-validation plus the model
-    sweep. *)
+  val tags : unit -> string list
+  (** Every registered scheme tag ({!Pk_core.Index.Registry}), with the
+      extension modules' linkage forced first. *)
 
-val run_recover_suite :
-  ?faults:(seed:int -> fault_plan) ->
-  ?tags:string list ->
-  seeds:int list ->
-  ops:int ->
-  unit ->
-  outcome
-(** Kill-and-recover schedules for every (tag, seed) pair — [tags]
-    defaults to {!recover_tags} (every registered scheme). *)
+  val registry : string -> scenario -> Pk_mem.Mem.t -> Pk_records.Record_store.t -> Pk_core.Index.t
+  (** [registry tag sc] builds [tag] at the scenario's node size and
+      key length. *)
 
-val run_rebuild_schedule :
-  ?faults:fault_plan -> tag:string -> seed:int -> ops:int -> unit -> outcome
-(** {!run_recover_schedule} with periodic in-place compactions
-    ([ops.compact], seed-chosen gap) mixed into the journaled stream.
-    Compaction is content-preserving and unlogged, so the committed-
-    prefix recovery oracle is exactly the recover schedule's — even
-    when the kill lands mid-compact (arm ["engine.compact"] /
-    ["engine.compact.mid"]): compaction must be crash-invisible.  An
-    aborted compact must also unwind to the exact pre-compact tree,
-    which the schedule checks with a deep validation and count sweep
-    before carrying on. *)
+  val generate : ?alphabet:int -> seed:int -> ops:int -> unit -> scenario
+  (** The one generator: config, a pool of 32–64 keys, a bulk prefix in
+      a quarter of scenarios, and [ops] operations, all from [seed].
+      [alphabet] overrides the drawn per-byte alphabet (e.g. 256 for
+      full byte entropy). *)
 
-val run_rebuild_suite :
-  ?faults:(seed:int -> fault_plan) ->
-  ?tags:string list ->
-  seeds:int list ->
-  ops:int ->
-  unit ->
-  outcome
-(** Rebuild schedules for every (tag, seed) pair. *)
+  val to_string : scenario -> string
+  (** Seed, alphabet, bulk size and the op list, as a replay:
+      [generate ~alphabet ~seed ~ops] rebuilds the config and pool,
+      then [bulk] and [ops] are set from the printout. *)
+
+  val run :
+    ?faults:fault_plan ->
+    mode:mode ->
+    build:(Pk_mem.Mem.t -> Pk_records.Record_store.t -> Pk_core.Index.t) ->
+    scenario ->
+    (outcome, int * string) result
+  (** The one interpreter.  Arms [faults] (default none) after a
+      [Fault.reset ~seed], restores a clean registry on exit.  Checks:
+      every result slot by slot against the oracle; [count] after every
+      op; deep validation and a full iteration every 16 ops and after
+      every injected fault, plus a lookup of every key the aborted op
+      touched; a final sweep of iteration, [seq_from] and a lookup from
+      every pool key, with each rid resolving to its key and payload.
+      Any exception escaping the index is a divergence:
+      [Error (op, msg)], where op 0 is the bulk load and the op after
+      the last one run is the end-of-stream sweep; [msg] ends with the
+      index's last descent-trace events. *)
+
+  val shrink :
+    ?faults:fault_plan ->
+    mode:mode ->
+    build:(Pk_mem.Mem.t -> Pk_records.Record_store.t -> Pk_core.Index.t) ->
+    scenario ->
+    scenario
+  (** Delta-debug a failing scenario's op list (and bulk load) to a
+      smaller one that still fails under the same mode and fault plan. *)
+
+  val check :
+    ?faults:fault_plan ->
+    mode:mode ->
+    build:(Pk_mem.Mem.t -> Pk_records.Record_store.t -> Pk_core.Index.t) ->
+    label:string ->
+    scenario ->
+    (outcome, string) result
+  (** {!run}; on a divergence, {!shrink} and render a report carrying
+      the seed, [label], the original divergence and the shrunk op
+      list. *)
+
+  val suite :
+    ?faults:(seed:int -> fault_plan) ->
+    ?alphabet:int ->
+    ?tags:string list ->
+    mode:mode ->
+    seeds:int list ->
+    ops:int ->
+    on_failure:(string -> unit) ->
+    unit ->
+    outcome
+  (** {!check} the generated scenario of every seed against every tag
+      (default {!tags}: the whole registry), summing the outcomes of
+      the passing schedules and handing each failure report to
+      [on_failure]. *)
+end
 
 (** {1 Parallel schedules} — writer domain vs reader domains *)
 

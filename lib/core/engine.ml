@@ -698,6 +698,7 @@ type recovery_stats = {
   rec_bulk : int;  (** keys restored through the [of_sorted] prefix *)
   rec_tail : int;  (** tail operations replayed incrementally *)
   rec_skipped : int;  (** uncommitted operation records discarded *)
+  rec_torn : int;  (** bytes of a torn final record dropped when the journal was read *)
 }
 
 module Bytes_map = Map.Make (Bytes)
@@ -758,6 +759,7 @@ let recover ?(gap = 0.1) ~build ~store_insert ~store_delete journal =
       rec_bulk = bulk;
       rec_tail = List.length tail;
       rec_skipped = J.record_count journal - n_ops;
+      rec_torn = J.torn_bytes journal;
     }
   in
   (fresh, stats)

@@ -324,6 +324,7 @@ type recovery_stats = {
   rec_bulk : int;  (** keys restored through the [of_sorted] prefix *)
   rec_tail : int;  (** tail operations replayed incrementally *)
   rec_skipped : int;  (** uncommitted operation records discarded *)
+  rec_torn : int;  (** bytes of a torn final record dropped when the journal was read *)
 }
 
 val recover :

@@ -148,16 +148,19 @@ let () =
         (fun ?node_bytes ~key_len:_ mem records -> make_prefix_btree ?node_bytes mem records);
     }
 
-(* Crash recovery by registry tag: fresh memory system + record store,
-   committed-prefix replay, deep validation — see {!Engine.recover}. *)
-let recover ?node_bytes ?gap ~key_len ~tag journal =
+(* Crash recovery: fresh memory system + record store, committed-prefix
+   replay, deep validation — see {!Engine.recover}. *)
+let recover_with ?gap ~build journal =
   let mem = Pk_mem.Mem.create () in
   let records = Pk_records.Record_store.create mem in
   let ix, stats =
     Engine.recover ?gap
-      ~build:(fun () -> Registry.build ?node_bytes ~key_len tag mem records)
+      ~build:(fun () -> build mem records)
       ~store_insert:(fun ~key ~payload -> Pk_records.Record_store.insert records ~key ~payload)
       ~store_delete:(fun rid -> Pk_records.Record_store.delete records rid)
       journal
   in
   (mem, records, ix, stats)
+
+let recover ?node_bytes ?gap ~key_len ~tag journal =
+  recover_with ?gap ~build:(Registry.build ?node_bytes ~key_len tag) journal

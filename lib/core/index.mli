@@ -151,6 +151,14 @@ module Registry : sig
       when the tag is unknown. *)
 end
 
+val recover_with :
+  ?gap:float ->
+  build:(Pk_mem.Mem.t -> Pk_records.Record_store.t -> t) ->
+  Pk_journal.Journal.t ->
+  Pk_mem.Mem.t * Pk_records.Record_store.t * t * Engine.recovery_stats
+(** {!recover} with the index built by [build] over the fresh memory
+    system and record store instead of by registry tag. *)
+
 val recover :
   ?node_bytes:int ->
   ?gap:float ->

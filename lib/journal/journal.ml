@@ -10,6 +10,7 @@ type t = {
   mutable next_batch : int;
   mutable n_records : int;
   mutable n_commits : int;
+  mutable torn : int;  (** bytes of a torn final record dropped by [of_bytes] *)
 }
 
 let tag_insert = 1
@@ -22,9 +23,10 @@ let m_records = Obs.Counter.register Obs.Registry.default "pk_journal_records_to
 let m_commits = Obs.Counter.register Obs.Registry.default "pk_journal_commits_total"
 
 let create () =
-  { buf = Bytes.create 256; len = 0; next_batch = 1; n_records = 0; n_commits = 0 }
+  { buf = Bytes.create 256; len = 0; next_batch = 1; n_records = 0; n_commits = 0; torn = 0 }
 
 let byte_size t = t.len
+let torn_bytes t = t.torn
 let record_count t = t.n_records
 let commit_count t = t.n_commits
 let last_batch t = t.next_batch - 1
@@ -108,49 +110,58 @@ let commit t ~batch =
 
 (* {2 Replay} *)
 
-let truncated () = invalid_arg "Journal: truncated record"
+(* The buffer ends inside a record: a torn tail. *)
+exception Torn
 
 let get_u8 t off =
-  if off + 1 > t.len then truncated ();
+  if off + 1 > t.len then raise Torn;
   Char.code (Bytes.get t.buf off)
 
 let get_u16 t off =
-  if off + 2 > t.len then truncated ();
+  if off + 2 > t.len then raise Torn;
   Bytes.get_uint16_le t.buf off
 
 let get_u32 t off =
-  if off + 4 > t.len then truncated ();
+  if off + 4 > t.len then raise Torn;
   Int32.to_int (Bytes.get_int32_le t.buf off) land 0xffffffff
 
 let get_slice t off len =
-  if off + len > t.len then truncated ();
+  if off + len > t.len then raise Torn;
   Bytes.sub t.buf off len
+
+(* Parse the record at [off], hand it to [f] and return the offset just
+   past it.  Raises [Torn] (before calling [f]) when the buffer ends
+   inside the record, [Invalid_argument] when it is malformed. *)
+let read_record t off f =
+  let tag = get_u8 t off in
+  if tag <> tag_insert && tag <> tag_delete && tag <> tag_commit then
+    invalid_arg (Printf.sprintf "Journal: bad record tag %d at offset %d" tag off);
+  let batch = get_u32 t (off + 1) in
+  if batch = 0 then invalid_arg (Printf.sprintf "Journal: bad batch id 0 at offset %d" off);
+  if tag = tag_commit then begin
+    f ~off ~batch None;
+    off + 5
+  end
+  else begin
+    let klen = get_u16 t (off + 5) in
+    let key = get_slice t (off + 7) klen in
+    let next = off + 7 + klen in
+    if tag = tag_insert then begin
+      let plen = get_u32 t next in
+      let payload = get_slice t (next + 4) plen in
+      f ~off ~batch (Some (Insert { key; payload }));
+      next + 4 + plen
+    end
+    else begin
+      f ~off ~batch (Some (Delete { key }));
+      next
+    end
+  end
 
 let iter_records t f =
   let off = ref 0 in
   while !off < t.len do
-    let start = !off in
-    let tag = get_u8 t !off in
-    off := !off + 1;
-    let batch = get_u32 t !off in
-    off := !off + 4;
-    if batch = 0 then invalid_arg (Printf.sprintf "Journal: bad batch id 0 at offset %d" start);
-    if tag = tag_commit then f ~off:start ~batch None
-    else begin
-      let klen = get_u16 t !off in
-      off := !off + 2;
-      let key = get_slice t !off klen in
-      off := !off + klen;
-      if tag = tag_insert then begin
-        let plen = get_u32 t !off in
-        off := !off + 4;
-        let payload = get_slice t !off plen in
-        off := !off + plen;
-        f ~off:start ~batch (Some (Insert { key; payload }))
-      end
-      else if tag = tag_delete then f ~off:start ~batch (Some (Delete { key }))
-      else invalid_arg (Printf.sprintf "Journal: bad record tag %d at offset %d" tag start)
-    end
+    off := try read_record t !off f with Torn -> invalid_arg "Journal: truncated record"
   done
 
 let committed_batches t =
@@ -184,14 +195,27 @@ let of_bytes b =
   if Bytes.length b < 4 || not (String.equal (Bytes.sub_string b 0 4) magic) then
     invalid_arg "Journal.of_bytes: bad magic";
   let len = Bytes.length b - 4 in
-  let t = { buf = Bytes.sub b 4 len; len; next_batch = 1; n_records = 0; n_commits = 0 } in
-  (* Validate framing and recompute counts / next batch id. *)
+  let t =
+    { buf = Bytes.sub b 4 len; len; next_batch = 1; n_records = 0; n_commits = 0; torn = 0 }
+  in
+  (* Validate framing and recompute counts / next batch id.  A torn
+     final record — the crash landed mid-append — is an uncommitted
+     suffix: drop it, so later appends overwrite it. *)
   let top = ref 0 in
-  iter_records t (fun ~off:_ ~batch op ->
-      top := Stdlib.max !top batch;
-      match op with
-      | Some _ -> t.n_records <- t.n_records + 1
-      | None -> t.n_commits <- t.n_commits + 1);
+  let count ~off:_ ~batch op =
+    top := Stdlib.max !top batch;
+    match op with
+    | Some _ -> t.n_records <- t.n_records + 1
+    | None -> t.n_commits <- t.n_commits + 1
+  in
+  let off = ref 0 in
+  (try
+     while !off < t.len do
+       off := read_record t !off count
+     done
+   with Torn ->
+     t.torn <- t.len - !off;
+     t.len <- !off);
   t.next_batch <- !top + 1;
   t
 

@@ -17,8 +17,11 @@
     insert  := 0x01  batch:u32  klen:u16  key:klen  plen:u32  payload:plen
     delete  := 0x02  batch:u32  klen:u16  key:klen
     commit  := 0x03  batch:u32
-    file    := "PKJ1"  record*
+    file    := "PKJ1"  record*  torn?
     v}
+
+    [torn] is a proper prefix of one record, left by a crash
+    mid-append; {!of_bytes} drops it.
 
     Batch ids are assigned by {!begin_batch}, strictly increasing
     within a journal.  Appends update the process-wide
@@ -82,9 +85,20 @@ val to_bytes : t -> bytes
 
 val of_bytes : bytes -> t
 (** Parse and validate a serialized journal (counts are recomputed,
-    [begin_batch] resumes after the highest batch id seen).  Raises
-    [Invalid_argument] on bad magic or a truncated / malformed
-    record. *)
+    [begin_batch] resumes after the highest batch id seen).  Every
+    complete record is kept; an incomplete final record — a torn tail
+    left by a crash mid-append — is dropped as part of the uncommitted
+    suffix, and later appends overwrite it; {!torn_bytes} reports how
+    many bytes went.  Without checksums the framing cannot tell a tear
+    from a corrupted [klen]/[plen] in a committed record mid-file that
+    points past the end: that record and every batch after it are
+    dropped the same way, and {!torn_bytes} is the only signal.  Raises
+    [Invalid_argument] on bad magic, an unknown record tag or batch
+    id 0. *)
+
+val torn_bytes : t -> int
+(** Bytes of the incomplete final record {!of_bytes} (or {!load})
+    dropped; 0 for a journal with a clean tail or built in process. *)
 
 val save : t -> string -> unit
 val load : string -> t

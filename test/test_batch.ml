@@ -27,7 +27,7 @@ let makers : (string * (Pk_mem.Mem.t -> Record_store.t -> Index.t)) list =
         fun mem records -> Hybrid.make ~key_len:(Some key_len) Index.B_tree mem records );
     ]
 
-let build_index make ~seed ~n =
+let loaded_index make ~seed ~n =
   let mem, records = Support.make_env () in
   let ix = make mem records in
   let rng = Prng.create (Int64.of_int seed) in
@@ -43,7 +43,7 @@ let build_index make ~seed ~n =
 
 let check_batch_lookup (name, make) seed =
   let n = 300 in
-  let ix, _records, keys = build_index make ~seed ~n in
+  let ix, _records, keys = loaded_index make ~seed ~n in
   let rng = Prng.create (Int64.of_int (seed + 7)) in
   let present = Hashtbl.create n in
   Array.iter (fun k -> Hashtbl.replace present k ()) keys;
@@ -292,7 +292,7 @@ let test_zero_alloc_single () =
    and reproduce the first, and the singles must leave the caller's
    result array alone. *)
 let test_interleaved (name, make) =
-  let ix, _records, keys = build_index make ~seed:17 ~n:400 in
+  let ix, _records, keys = loaded_index make ~seed:17 ~n:400 in
   let rng = Prng.create 18L in
   (* Alphabet 9 draws mostly absent keys: misses mixed with hits. *)
   let others = Keygen.uniform ~rng ~key_len ~alphabet:9 16 in
