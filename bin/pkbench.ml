@@ -116,6 +116,7 @@ module Keygen = Pk_keys.Keygen
 module Prng = Pk_util.Prng
 module Record_store = Pk_records.Record_store
 module Tables = Pk_util.Tables
+module Measure = Pk_util.Measure
 
 let snapshot_cmd =
   let run tag keys key_len batches batch_size seconds journal_out metrics =
@@ -131,12 +132,11 @@ let snapshot_cmd =
     let pool = Keygen.uniform ~rng ~key_len ~alphabet:16 (keys + (batches * batch_size)) in
     let seed = Array.sub pool 0 keys in
     Array.sort Key.compare seed;
-    let t0 = Unix.gettimeofday () in
-    let entries =
-      Array.map (fun k -> (k, Record_store.insert records ~key:k ~payload:Bytes.empty)) seed
+    let (), load_s =
+      Measure.time (fun () ->
+          jx.Index.of_sorted ~fill:1.0
+            (Array.map (fun k -> (k, Record_store.insert records ~key:k ~payload:Bytes.empty)) seed))
     in
-    jx.Index.of_sorted ~fill:1.0 entries;
-    let load_s = Unix.gettimeofday () -. t0 in
     Printf.printf "index           %s\n" ix.Index.tag;
     Printf.printf "bulk load       %s keys in %.2fs (journaled)\n" (Tables.fmt_int keys) load_s;
     (* Pin the epoch, then race a writer thread against snapshot reads. *)
@@ -163,14 +163,15 @@ let snapshot_cmd =
     let probes = Array.init m (fun i -> seed.(i * 31 mod keys)) in
     let out = Array.make m (-1) in
     let sweeps = ref 0 in
-    let t1 = Unix.gettimeofday () in
-    let deadline = t1 +. seconds in
-    while (not (Atomic.get writer_done)) || Unix.gettimeofday () < deadline do
-      snap.Index.lookup_into probes out;
-      incr sweeps;
-      Thread.yield ()
-    done;
-    let read_s = Unix.gettimeofday () -. t1 in
+    let (), read_s =
+      Measure.time (fun () ->
+          let deadline = Measure.now_ns () + int_of_float (seconds *. 1e9) in
+          while (not (Atomic.get writer_done)) || Measure.now_ns () < deadline do
+            snap.Index.lookup_into probes out;
+            incr sweeps;
+            Thread.yield ()
+          done)
+    in
     Thread.join writer;
     let n_reads = !sweeps * m in
     Printf.printf "snapshot reads  %s lookups in %.2fs (%s/s) against the pinned epoch\n"
@@ -194,10 +195,10 @@ let snapshot_cmd =
         Printf.printf "journal saved   %s (inspect with: pkdump journal %s)\n" path path)
       journal_out;
     (* Kill-and-recover from the journal bytes alone. *)
-    let t2 = Unix.gettimeofday () in
-    let frozen = Journal.of_bytes (Journal.to_bytes journal) in
-    let _mem2, _records2, recovered, st = Index.recover ~key_len ~tag frozen in
-    let rec_s = Unix.gettimeofday () -. t2 in
+    let (_mem2, _records2, recovered, st), rec_s =
+      Measure.time (fun () ->
+          Index.recover ~key_len ~tag (Journal.of_bytes (Journal.to_bytes journal)))
+    in
     Printf.printf
       "recovery        %s keys in %.2fs: %d batches, %d ops (%d bulk + %d tail), %d \
        uncommitted skipped, %d torn bytes dropped\n"
@@ -266,13 +267,14 @@ let rebuild_cmd =
     let rng = Prng.create 1L in
     let tail_n = max 1 (keys / 20) in
     let pool = Keygen.uniform ~rng ~key_len ~alphabet:16 (keys + tail_n) in
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun k ->
-        let rid = Record_store.insert records ~key:k ~payload:Bytes.empty in
-        if not (src.Index.insert k ~rid) then Record_store.delete records rid)
-      (Array.sub pool 0 keys);
-    let grow_s = Unix.gettimeofday () -. t0 in
+    let insert_all (ix : Index.t) keys =
+      Array.iter
+        (fun k ->
+          let rid = Record_store.insert records ~key:k ~payload:Bytes.empty in
+          if not (ix.Index.insert k ~rid) then Record_store.delete records rid)
+        keys
+    in
+    let (), grow_s = Measure.time (fun () -> insert_all src (Array.sub pool 0 keys)) in
     let n0 = src.Index.count () in
     Printf.printf "source          %s: %s keys grown incrementally in %.2fs (%s nodes)\n"
       src.Index.tag (Tables.fmt_int n0) grow_s
@@ -290,13 +292,9 @@ let rebuild_cmd =
     (* The pipeline: extract once, then sort at 1 domain and at the
        requested fan-out (stage timings, same input). *)
     let entries = Rebuild.extract (Rebuild.Of_index src) in
-    let time_sort d =
-      let t = Unix.gettimeofday () in
-      let _, stats = Rebuild.sort ~domains:d ~store:records entries in
-      (Unix.gettimeofday () -. t, stats)
-    in
-    let seq_s, _ = time_sort 1 in
-    let par_s, stats = time_sort domains in
+    let time_sort d = Measure.time (fun () -> snd (Rebuild.sort ~domains:d ~store:records entries)) in
+    let _, seq_s = time_sort 1 in
+    let stats, par_s = time_sort domains in
     Printf.printf
       "sort            %s entries: %.3fs at 1 domain, %.3fs at %d domains (%d runs, %s tie \
        derefs)\n"
@@ -304,9 +302,10 @@ let rebuild_cmd =
       seq_s par_s domains stats.Rebuild.runs
       (Tables.fmt_int stats.Rebuild.tie_derefs);
     let dst = Index.Registry.build ~key_len tag mem records in
-    let t1 = Unix.gettimeofday () in
-    let _ = Rebuild.rebuild ~domains ~gap ~store:records ~into:dst (Rebuild.Of_index src) in
-    let rebuild_s = Unix.gettimeofday () -. t1 in
+    let _, rebuild_s =
+      Measure.time (fun () ->
+          Rebuild.rebuild ~domains ~gap ~store:records ~into:dst (Rebuild.Of_index src))
+    in
     Printf.printf "rebuild         %.3fs end to end at gap %.2f: %s -> %s nodes\n" rebuild_s gap
       (Tables.fmt_int (src.Index.node_count ()))
       (Tables.fmt_int (dst.Index.node_count ()));
@@ -314,20 +313,12 @@ let rebuild_cmd =
     (* What the gap buys: a fresh-key insert tail into the rebuilt
        tree, timed. *)
     let tail = Array.sub pool keys tail_n in
-    let t2 = Unix.gettimeofday () in
-    Array.iter
-      (fun k ->
-        let rid = Record_store.insert records ~key:k ~payload:Bytes.empty in
-        if not (dst.Index.insert k ~rid) then Record_store.delete records rid)
-      tail;
-    let tail_s = Unix.gettimeofday () -. t2 in
+    let (), tail_s = Measure.time (fun () -> insert_all dst tail) in
     Printf.printf "insert tail     %s fresh keys in %.3fs (%s/s) after the gapped load\n"
       (Tables.fmt_int tail_n) tail_s
       (Tables.fmt_int (int_of_float (float_of_int tail_n /. tail_s)));
     (* And compaction closes the loop in place. *)
-    let t3 = Unix.gettimeofday () in
-    dst.Index.compact ~gap ();
-    let compact_s = Unix.gettimeofday () -. t3 in
+    let (), compact_s = Measure.time (fun () -> dst.Index.compact ~gap ()) in
     dst.Index.validate ();
     Printf.printf "compact         in place in %.3fs; %s keys, %s nodes\n" compact_s
       (Tables.fmt_int (dst.Index.count ()))

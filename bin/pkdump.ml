@@ -53,9 +53,7 @@ let run structure scheme keys key_len entropy machine node_blocks lookups valida
     Index.make ~node_bytes:(node_blocks * machine.Machine.l2.Pk_cachesim.Cachesim.block_bytes)
       structure scheme env.Workload.mem env.Workload.records
   in
-  let t0 = Unix.gettimeofday () in
-  Workload.load ds ix;
-  let load_s = Unix.gettimeofday () -. t0 in
+  let (), load_s = Pk_util.Measure.time (fun () -> Workload.load ds ix) in
   if validate then ix.Index.validate ();
   let warm = Workload.probes ds ~seed:11 ~n:(min 3000 keys) () in
   let all = Workload.probes ds ~seed:12 ~n:(3000 + lookups) () in

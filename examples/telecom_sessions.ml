@@ -12,6 +12,7 @@
 
 module Prng = Pk_util.Prng
 module Tables = Pk_util.Tables
+module Measure = Pk_util.Measure
 module Key = Pk_keys.Key
 module Record_store = Pk_records.Record_store
 module Layout = Pk_core.Layout
@@ -83,15 +84,16 @@ let () =
     List.map
       (fun (name, structure, scheme) ->
         let ix = Index.make structure scheme env.Workload.mem records in
-        let t0 = Unix.gettimeofday () in
-        Array.iter
-          (fun (s, ts) ->
-            let key = session_key ~subscriber:s ~ts in
-            let payload = Bytes.of_string (Printf.sprintf "cdr:%d:%d" s ts) in
-            let rid = Record_store.insert records ~key ~payload in
-            assert (ix.Index.insert key ~rid))
-          sessions;
-        let load_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let (), load_s =
+          Measure.time (fun () ->
+              Array.iter
+                (fun (s, ts) ->
+                  let key = session_key ~subscriber:s ~ts in
+                  let payload = Bytes.of_string (Printf.sprintf "cdr:%d:%d" s ts) in
+                  let rid = Record_store.insert records ~key ~payload in
+                  assert (ix.Index.insert key ~rid))
+                sessions)
+        in
 
         (* Point lookups of random live sessions. *)
         let probes =
@@ -99,40 +101,42 @@ let () =
               let s, ts = sessions.((i * 7919) mod Array.length sessions) in
               session_key ~subscriber:s ~ts)
         in
-        let t0 = Unix.gettimeofday () in
-        Array.iter (fun k -> assert (ix.Index.lookup k <> None)) probes;
-        let lookup_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (Array.length probes) in
+        let (), lookup_s =
+          Measure.time (fun () -> Array.iter (fun k -> assert (ix.Index.lookup k <> None)) probes)
+        in
 
         (* OLTP mix: 60% lookups, 20% new sessions, 20% expiries. *)
         let mix_rng = Prng.create 7L in
         let live = Array.map (fun st -> Some st) sessions in
         let ops = 30_000 in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to ops do
-          let i = Prng.int mix_rng (Array.length live) in
-          let r = Prng.int mix_rng 100 in
-          match live.(i) with
-          | Some (s, ts) when r < 60 -> ignore (ix.Index.lookup (session_key ~subscriber:s ~ts))
-          | Some (s, ts) when r >= 80 ->
-              ignore (ix.Index.delete (session_key ~subscriber:s ~ts));
-              live.(i) <- None
-          | Some _ -> ()
-          | None ->
-              let s = 0x3930_0000 + Prng.int mix_rng n_subscribers in
-              let ts = 1_800_000_000 + Prng.int mix_rng 1_000_000_000 in
-              let key = session_key ~subscriber:s ~ts in
-              let rid = Record_store.insert records ~key ~payload:Bytes.empty in
-              if ix.Index.insert key ~rid then live.(i) <- Some (s, ts)
-              else Record_store.delete records rid
-        done;
-        let mixed_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops in
+        let (), mixed_s =
+          Measure.time (fun () ->
+              for _ = 1 to ops do
+                let i = Prng.int mix_rng (Array.length live) in
+                let r = Prng.int mix_rng 100 in
+                match live.(i) with
+                | Some (s, ts) when r < 60 ->
+                    ignore (ix.Index.lookup (session_key ~subscriber:s ~ts))
+                | Some (s, ts) when r >= 80 ->
+                    ignore (ix.Index.delete (session_key ~subscriber:s ~ts));
+                    live.(i) <- None
+                | Some _ -> ()
+                | None ->
+                    let s = 0x3930_0000 + Prng.int mix_rng n_subscribers in
+                    let ts = 1_800_000_000 + Prng.int mix_rng 1_000_000_000 in
+                    let key = session_key ~subscriber:s ~ts in
+                    let rid = Record_store.insert records ~key ~payload:Bytes.empty in
+                    if ix.Index.insert key ~rid then live.(i) <- Some (s, ts)
+                    else Record_store.delete records rid
+              done)
+        in
         ix.Index.validate ();
         Tables.add_row t
           [
             name;
-            Tables.fmt_float ~decimals:0 load_ms;
-            Tables.fmt_float ~decimals:0 lookup_ns;
-            Tables.fmt_float ~decimals:0 mixed_ns;
+            Tables.fmt_float ~decimals:0 (load_s *. 1e3);
+            Tables.fmt_float ~decimals:0 (lookup_s *. 1e9 /. float_of_int (Array.length probes));
+            Tables.fmt_float ~decimals:0 (mixed_s *. 1e9 /. float_of_int ops);
             Tables.fmt_float ~decimals:1
               (float_of_int (ix.Index.space_bytes ()) /. float_of_int (ix.Index.count ()));
             string_of_int (ix.Index.height ());

@@ -1,6 +1,7 @@
 (* Shared plumbing for the benchmark experiments. *)
 
 module Tables = Pk_util.Tables
+module Measure = Pk_util.Measure
 module Key = Pk_keys.Key
 module Keygen = Pk_keys.Keygen
 module Mem = Pk_mem.Mem
@@ -14,7 +15,6 @@ module Partial_key = Pk_partialkey.Partial_key
 module Workload = Pk_workload.Workload
 module Distribution = Pk_workload.Distribution
 module Experiment = Pk_harness.Experiment
-module Bench_time = Pk_harness.Bench_time
 module Json_out = Pk_harness.Json_out
 
 let low_entropy = Keygen.paper_low (* alphabet 12 -> 3.6 bits/byte *)
@@ -42,7 +42,6 @@ type built = {
   env : Workload.env;
   warm : Key.t array;
   probe : Key.t array;
-  probe_mask : int;
 }
 
 let pow2_ceil n =
@@ -60,8 +59,9 @@ let build_schemes ?machine ?tlb ~key_len ~alphabet ~n ~n_warm ~n_probe schemes =
   let env = Workload.make_env ~machine ?tlb () in
   let ds = Workload.make_dataset env ~key_len ~alphabet ~n () in
   let warm = Workload.probes ds ~seed:11 ~n:n_warm () in
-  (* Disjoint steady-state probes, padded to a power of two so the
-     timed thunk can rotate with a mask. *)
+  (* Disjoint steady-state probes, padded to a power of two by
+     repeating from the start; every counter column is measured over
+     this padded set, so changing it would change the figures. *)
   let all = Workload.probes ds ~seed:12 ~n:(n_warm + n_probe) () in
   let raw_probe = Array.sub all n_warm n_probe in
   let padded = pow2_ceil n_probe in
@@ -70,7 +70,7 @@ let build_schemes ?machine ?tlb ~key_len ~alphabet ~n ~n_warm ~n_probe schemes =
     (fun (name, structure, scheme) ->
       let ix = Index.make structure scheme env.Workload.mem env.Workload.records in
       Workload.load ds ix;
-      { name; ix; env; warm; probe; probe_mask = padded - 1 })
+      { name; ix; env; warm; probe })
     schemes
 
 (* {2 Registry-driven scheme selection}
@@ -101,16 +101,8 @@ let builders_by_tag ?node_bytes ~key_len tags =
 
 let cache_stats b = Workload.measure_cache b.env b.ix ~warm:b.warm ~probes:b.probe
 
-(* One Bechamel thunk = one lookup from the rotating probe list. *)
-let lookup_thunk b =
-  let i = ref 0 in
-  fun () ->
-    ignore (b.ix.Index.lookup b.probe.(!i land b.probe_mask));
-    incr i
-
-let time_schemes ~group builts =
-  List.iter (fun b -> Mem.set_tracing b.env.Workload.mem false) builts;
-  Bench_time.time_group ~name:group (List.map (fun b -> (b.name, lookup_thunk b)) builts)
+let time_schemes builts =
+  List.map (fun b -> (b.name, Workload.wall_ns_per_op b.env b.ix ~probes:b.probe)) builts
 
 let space_per_key b =
   float_of_int (b.ix.Index.space_bytes ()) /. float_of_int (b.ix.Index.count ())

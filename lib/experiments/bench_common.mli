@@ -4,6 +4,7 @@
     the library aliases are re-exported. *)
 
 module Tables = Pk_util.Tables
+module Measure = Pk_util.Measure
 module Key = Pk_keys.Key
 module Keygen = Pk_keys.Keygen
 module Mem = Pk_mem.Mem
@@ -17,7 +18,6 @@ module Partial_key = Pk_partialkey.Partial_key
 module Workload = Pk_workload.Workload
 module Distribution = Pk_workload.Distribution
 module Experiment = Pk_harness.Experiment
-module Bench_time = Pk_harness.Bench_time
 module Json_out = Pk_harness.Json_out
 
 val low_entropy : int
@@ -37,7 +37,6 @@ type built = {
   env : Workload.env;
   warm : Key.t array;
   probe : Key.t array;
-  probe_mask : int;
 }
 
 val pow2_ceil : int -> int
@@ -68,10 +67,10 @@ val builders_by_tag :
   ?node_bytes:int -> key_len:int -> string list -> (string * (Workload.env -> Index.t)) list
 
 val cache_stats : built -> Workload.cache_stats
-val lookup_thunk : built -> unit -> unit
 
-val time_schemes : group:string -> built list -> (string * float) list
-(** Wall-clock the probe loop of each built index; (name, ms) pairs. *)
+val time_schemes : built list -> (string * float) list
+(** Wall-clock each built index over its probe set with
+    {!Workload.wall_ns_per_op}; (name, ns/lookup) pairs. *)
 
 val space_per_key : built -> float
 val fmt_f : ?d:int -> float -> string

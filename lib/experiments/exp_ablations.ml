@@ -108,7 +108,7 @@ let run_a2 () =
           [ 0; 2; 4 ]
       in
       let builts = build_schemes ~key_len ~alphabet ~n ~n_warm:3000 ~n_probe variants in
-      let walls = time_schemes ~group:(Printf.sprintf "a2-%d" alphabet) builts in
+      let walls = time_schemes builts in
       List.iter
         (fun b ->
           let cs = cache_stats b in
@@ -486,10 +486,11 @@ let run_a8 () =
           let per x = float_of_int x /. float_of_int (Array.length probe) in
           let l2 = per (Cachesim.misses d ~level:"L2") in
           let deref = per (derefs () - d0) in
-          Gc.full_major ();
-          let t0 = Unix.gettimeofday () in
-          Array.iter (fun k -> ignore (lookup k)) probe;
-          let wall = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (Array.length probe) in
+          let wall =
+            Array.fold_left Float.min Float.infinity
+              (Measure.repeat (fun () -> Array.iter (fun k -> ignore (lookup k)) probe))
+            /. float_of_int (Array.length probe)
+          in
           ignore (visits ());
           Hashtbl.replace misses (alphabet, name) l2;
           let max_sep =
@@ -599,9 +600,7 @@ let run_a9 () =
       let probe = Array.sub all 3000 n_probe in
       let time_ms f =
         Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        f ();
-        (Unix.gettimeofday () -. t0) *. 1e3
+        snd (Measure.time f) *. 1e3
       in
       let ix_inc = mk env in
       let incr_ms = time_ms (fun () -> Workload.load ds ix_inc) in
@@ -633,7 +632,7 @@ let run_a9 () =
               Workload.measure_cache_batched env ix_inc ~batch:b ~contended:true ~warm
                 ~probes:probe ()
             in
-            let wall = Workload.wall_ns_per_op_batched env ix_inc ~batch:b ~probes:probe () in
+            let wall = Workload.wall_ns_per_op ~batch:b env ix_inc ~probes:probe in
             Hashtbl.replace misses (name, b) cs.Workload.l2_per_op;
             Tables.add_row lt
               [
@@ -915,19 +914,13 @@ let run_a11 () =
         ignore (ops.Index.insert k ~rid : bool))
       churn_keys.(i)
   in
-  (* Warm pass, then per-shard solo times. *)
-  for i = 0 to shards - 1 do
-    serve_shard i
-  done;
-  let shard_ns = Array.make shards 0.0 in
-  for i = 0 to shards - 1 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to repeats do
-      serve_shard i
-    done;
-    let t1 = Unix.gettimeofday () in
-    shard_ns.(i) <- (t1 -. t0) *. 1e9
-  done;
+  (* Per-shard solo times: [repeats] serves at the fastest serve's
+     cost. *)
+  let shard_ns =
+    Array.init shards (fun i ->
+        let runs = Measure.repeat ~n:repeats (fun () -> serve_shard i) in
+        Array.fold_left Float.min Float.infinity runs *. float_of_int repeats)
+  in
   let total_lookups = repeats * n_probe in
   let total_mutations = repeats * 2 * Array.fold_left (fun a c -> a + Array.length c) 0 churn_keys in
   let total_ops = total_lookups + total_mutations in
@@ -1104,27 +1097,17 @@ let run_a12 () =
   done;
   Printf.printf "keys=%d, key size=%d B, entropy=%s, scheme=pkB\n\n" n key_len
     (entropy_tag alphabet);
-  let now = Unix.gettimeofday in
   (* {3 Phase 1: sort scaling, critical-path aggregation}
 
      [spawn:false] runs the exact library code path — same run
      decomposition, same merge — in one domain, so the full-call time
      decomposes as prologue + sum(run sorts) + merge without the
      cross-domain GC noise a 1-core host injects into genuinely
-     spawned timings. *)
-  ignore (Rebuild.sort ~domains:1 ~store entries : (Key.t * int) array * Rebuild.stats);
-  (* The host is time-shared: single timings jitter by 50%+.  Min over
-     repeats with a major collection before each measurement. *)
-  let reps = 3 in
+     spawned timings.  The host is time-shared and single timings
+     jitter by 50%+, so each figure is the minimum over 3 runs. *)
   let timed_min f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      Gc.major ();
-      let t0 = now () in
-      ignore (f () : (Key.t * int) array * Rebuild.stats);
-      best := Float.min !best ((now () -. t0) *. 1e9)
-    done;
-    !best
+    Array.fold_left Float.min Float.infinity
+      (Measure.repeat ~n:3 (fun () -> ignore (f () : (Key.t * int) array * Rebuild.stats)))
   in
   let time_full d =
     let _, stats = Rebuild.sort ~domains:d ~spawn:false ~store entries in
@@ -1188,9 +1171,8 @@ let run_a12 () =
      sequentialized runs; its wall time on this host is reference
      only (meaningless as a scaling figure on one core). *)
   let seq4, _ = Rebuild.sort ~domains:4 ~spawn:false ~store entries in
-  let t0 = now () in
-  let par4, _ = Rebuild.sort ~domains:4 ~store entries in
-  let spawned_ms = (now () -. t0) *. 1e3 in
+  let (par4, _), spawned_s = Measure.time (fun () -> Rebuild.sort ~domains:4 ~store entries) in
+  let spawned_ms = spawned_s *. 1e3 in
   let spawn_identical =
     Array.length seq4 = Array.length par4
     && Array.for_all2
@@ -1212,13 +1194,14 @@ let run_a12 () =
     (Array.sub pool 0 n2);
   let tail = Array.sub pool n2 m in
   let time_tail (ix : Index.t) =
-    let t0 = now () in
-    Array.iter
-      (fun k ->
-        let rid = Pk_records.Record_store.insert store ~key:k ~payload:Bytes.empty in
-        if not (ix.Index.insert k ~rid) then Pk_records.Record_store.delete store rid)
-      tail;
-    let ns = (now () -. t0) *. 1e9 in
+    let (), secs =
+      Measure.time (fun () ->
+          Array.iter
+            (fun k ->
+              let rid = Pk_records.Record_store.insert store ~key:k ~payload:Bytes.empty in
+              if not (ix.Index.insert k ~rid) then Pk_records.Record_store.delete store rid)
+            tail)
+    in
     Array.iter
       (fun k ->
         match ix.Index.lookup k with
@@ -1227,7 +1210,7 @@ let run_a12 () =
             Pk_records.Record_store.delete store rid
         | None -> ())
       tail;
-    ns /. float_of_int m
+    secs *. 1e9 /. float_of_int m
   in
   let steady = time_tail grown in
   let post_load gap =

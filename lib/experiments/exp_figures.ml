@@ -45,7 +45,7 @@ let run_f9 ~alphabet ~key_sizes () =
       let builts =
         build_schemes ~key_len ~alphabet ~n ~n_warm ~n_probe (Index.paper_schemes ~key_len ())
       in
-      let walls = time_schemes ~group:(Printf.sprintf "f9-k%d" key_len) builts in
+      let walls = time_schemes builts in
       List.iter
         (fun b ->
           let cs = cache_stats b in
@@ -157,7 +157,7 @@ let run_f10a () =
             [ 0; 2; 4 ]
       in
       let builts = build_schemes ~key_len ~alphabet ~n ~n_warm ~n_probe variants in
-      let walls = time_schemes ~group:(Printf.sprintf "f10a-a%d" alphabet) builts in
+      let walls = time_schemes builts in
       List.iter
         (fun b ->
           let cs = cache_stats b in
@@ -232,7 +232,7 @@ let run_f10b () =
       let builts =
         build_schemes ~key_len ~alphabet ~n ~n_warm ~n_probe (Index.paper_schemes ~key_len ())
       in
-      let walls = time_schemes ~group:(Printf.sprintf "f10b-k%d" key_len) builts in
+      let walls = time_schemes builts in
       List.iter
         (fun b ->
           let cs = cache_stats b in

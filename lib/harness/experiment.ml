@@ -35,21 +35,21 @@ let run_ids ids =
   List.iter
     (fun e ->
       banner e;
-      let t0 = Unix.gettimeofday () in
-      e.run ();
-      Printf.printf "(%s completed in %.1fs)\n\n%!" e.id (Unix.gettimeofday () -. t0))
+      let (), secs = Pk_util.Measure.time e.run in
+      Printf.printf "(%s completed in %.1fs)\n\n%!" e.id secs)
     to_run
 
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some v when v > 0 -> Some v | _ -> None)
-
-let env_float name =
-  match Sys.getenv_opt name with
-  | None -> None
+(* Empty counts as unset, so a variable can be cleared with putenv. *)
+let env_positive name parse positive =
+  match Option.map String.trim (Sys.getenv_opt name) with
+  | None | Some "" -> None
   | Some s -> (
-      match float_of_string_opt (String.trim s) with Some v when v > 0.0 -> Some v | _ -> None)
+      match parse s with
+      | Some v when positive v -> Some v
+      | _ -> invalid_arg (Printf.sprintf "%s=%S: expected a positive number" name s))
+
+let env_int name = env_positive name int_of_string_opt (fun v -> v > 0)
+let env_float name = env_positive name float_of_string_opt (fun v -> Float.is_finite v && v > 0.0)
 
 let scale () = Option.value (env_float "PK_SCALE") ~default:1.0
 

@@ -7,6 +7,7 @@ module Machine = Pk_cachesim.Machine
 module Record_store = Pk_records.Record_store
 module Index = Pk_core.Index
 module Obs = Pk_obs.Obs
+module Measure = Pk_util.Measure
 
 type env = { mem : Mem.t; cache : Cachesim.t; records : Record_store.t }
 
@@ -132,60 +133,35 @@ let measure_cache_batched env ix ~batch ?(contended = false) ~warm ~probes () =
     visits_per_op = float_of_int (ix.Index.node_visits ()) /. n;
   }
 
-let wall_ns_per_op ?(repeats = 5) env ix ~probes =
+let wall_ns_per_op ?repeats ?batch env ix ~probes =
   Mem.set_tracing env.mem false;
-  (* Settle the GC so one index's build garbage is not collected
-     during another's timed passes. *)
-  Gc.full_major ();
   let n = Array.length probes in
   let sink = ref 0 in
-  let timed () =
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      match ix.Index.lookup probes.(i) with Some r -> sink := !sink + r | None -> ()
-    done;
-    let t1 = Unix.gettimeofday () in
-    (t1 -. t0) *. 1e9 /. float_of_int n
+  (* Probe slices and the result buffer are cut before timing, so the
+     batched pass exercises the zero-allocation hot path. *)
+  let pass =
+    match batch with
+    | None ->
+        fun () ->
+          for i = 0 to n - 1 do
+            match ix.Index.lookup probes.(i) with Some r -> sink := !sink + r | None -> ()
+          done
+    | Some batch ->
+        let batches = slice_batches probes batch in
+        let out = Array.make batch (-1) in
+        fun () ->
+          Array.iter
+            (fun b ->
+              ix.Index.lookup_into b out;
+              sink := !sink + out.(0))
+            batches
   in
-  (* One untimed pass to warm the real caches and the allocator. *)
-  ignore (timed ());
-  let acc = Pk_util.Stats_acc.create () in
+  let runs = Measure.repeat ?n:repeats pass in
+  ignore (Sys.opaque_identity !sink);
+  let per_op ns = ns /. float_of_int n in
   let lh = obs_latency_hist ix in
-  for _ = 1 to repeats do
-    let ns = timed () in
-    Obs.Histogram.observe lh (int_of_float ns);
-    Pk_util.Stats_acc.add acc ns
-  done;
-  ignore !sink;
-  Pk_util.Stats_acc.percentile acc 50.0
-
-let wall_ns_per_op_batched ?(repeats = 5) env ix ~batch ~probes () =
-  Mem.set_tracing env.mem false;
-  Gc.full_major ();
-  let n = Array.length probes in
-  let batches = slice_batches probes batch in
-  let out = Array.make (max batch 1) (-1) in
-  let sink = ref 0 in
-  let timed () =
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun b ->
-        ix.Index.lookup_into b out;
-        sink := !sink + out.(0))
-      batches;
-    let t1 = Unix.gettimeofday () in
-    (t1 -. t0) *. 1e9 /. float_of_int n
-  in
-  ignore (timed ());
-  let acc = Pk_util.Stats_acc.create () in
-  let lh = obs_latency_hist ix in
-  for _ = 1 to repeats do
-    let ns = timed () in
-    Obs.Histogram.observe lh (int_of_float ns);
-    Pk_util.Stats_acc.add acc ns
-  done;
-  ignore !sink;
-  Pk_util.Stats_acc.percentile acc 50.0
+  Array.iter (fun ns -> Obs.Histogram.observe lh (int_of_float (per_op ns))) runs;
+  per_op (Array.fold_left Float.min Float.infinity runs)
 
 (* The dataset's (key, rid) pairs in strictly ascending key order —
    the input shape [Index.of_sorted] wants. *)
@@ -208,31 +184,32 @@ let run_mix env ix ds ?(seed = 99) ?(distribution = Distribution.Uniform) ~looku
   let sample = Distribution.sampler distribution ~n ~rng in
   let present = Array.make n true in
   let rids = Array.copy ds.rids in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to ops do
-    let i = sample () in
-    let r = Prng.int rng 100 in
-    if r < lookup_pct then ignore (ix.Index.lookup ds.keys.(i))
-    else if r < lookup_pct + insert_pct then begin
-      if not present.(i) then begin
-        let rid = Record_store.insert env.records ~key:ds.keys.(i) ~payload:Bytes.empty in
-        if ix.Index.insert ds.keys.(i) ~rid then begin
-          rids.(i) <- rid;
-          present.(i) <- true
-        end
-        else Record_store.delete env.records rid
-      end
-    end
-    else if present.(i) then begin
-      if ix.Index.delete ds.keys.(i) then begin
-        Record_store.delete env.records rids.(i);
-        present.(i) <- false
-      end
-    end
-  done;
-  let t1 = Unix.gettimeofday () in
+  let (), secs =
+    Measure.time (fun () ->
+        for _ = 1 to ops do
+          let i = sample () in
+          let r = Prng.int rng 100 in
+          if r < lookup_pct then ignore (ix.Index.lookup ds.keys.(i))
+          else if r < lookup_pct + insert_pct then begin
+            if not present.(i) then begin
+              let rid = Record_store.insert env.records ~key:ds.keys.(i) ~payload:Bytes.empty in
+              if ix.Index.insert ds.keys.(i) ~rid then begin
+                rids.(i) <- rid;
+                present.(i) <- true
+              end
+              else Record_store.delete env.records rid
+            end
+          end
+          else if present.(i) then begin
+            if ix.Index.delete ds.keys.(i) then begin
+              Record_store.delete env.records rids.(i);
+              present.(i) <- false
+            end
+          end
+        done)
+  in
   {
     ops_done = ops;
-    wall_ns_per_mixed_op = (t1 -. t0) *. 1e9 /. float_of_int ops;
+    wall_ns_per_mixed_op = secs *. 1e9 /. float_of_int ops;
     final_count = ix.Index.count ();
   }

@@ -66,24 +66,15 @@ val measure_cache_batched :
     batch, which is the effect ablation A9 quantifies.  Probe slices
     are cut before measurement begins. *)
 
-val wall_ns_per_op : ?repeats:int -> env -> Pk_core.Index.t -> probes:Pk_keys.Key.t array -> float
-(** Wall-clock nanoseconds per lookup, simulator detached; median of
-    [repeats] (default 5) timed passes over the probe list.  (The
-    benchmark executable uses Bechamel for its headline timings; this
-    lightweight clock is for tests, examples and secondary columns.) *)
-
-val wall_ns_per_op_batched :
-  ?repeats:int ->
-  env ->
-  Pk_core.Index.t ->
-  batch:int ->
-  probes:Pk_keys.Key.t array ->
-  unit ->
-  float
-(** Wall-clock nanoseconds per lookup through the batched
-    ([lookup_into]) entry point; median of [repeats] passes.  The probe
-    slices and the result buffer are allocated before timing starts, so
-    the timed region exercises the zero-allocation hot path. *)
+val wall_ns_per_op :
+  ?repeats:int -> ?batch:int -> env -> Pk_core.Index.t -> probes:Pk_keys.Key.t array -> float
+(** Wall-clock nanoseconds per lookup, simulator detached: the minimum
+    over [repeats] (default 5) {!Pk_util.Measure.repeat} passes over
+    the probe list.  Without [batch] each pass calls single-key
+    [lookup]; with [~batch] it drives [lookup_into] over [batch]-sized
+    probe slices cut before timing starts, so the timed region
+    exercises the zero-allocation hot path.  Each pass's mean is also
+    observed into [pk_lookup_latency_ns]. *)
 
 val sorted_pairs : dataset -> (Pk_keys.Key.t * int) array
 (** The dataset as strictly ascending (key, rid) pairs — the input

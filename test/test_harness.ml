@@ -1,7 +1,8 @@
-(* Tests for the experiment registry and the Bechamel timing wrapper. *)
+(* Tests for the experiment registry, its scale variables and the
+   Measure timing primitive. *)
 
 module Experiment = Pk_harness.Experiment
-module Bench_time = Pk_harness.Bench_time
+module Measure = Pk_util.Measure
 
 (* The registry is global; use unique ids per test. *)
 let mk id = { Experiment.id; title = "t-" ^ id; paper_ref = "test"; run = (fun () -> ()) }
@@ -45,24 +46,47 @@ let test_scaling_env () =
   Alcotest.(check int) "PK_LOOKUPS wins" 777 (Experiment.scaled_lookups 10);
   Unix.putenv "PK_LOOKUPS" ""
 
-let test_bench_time_measures () =
-  (* A deliberately slow thunk vs a fast one: the OLS estimates must
-     order them and be positive. *)
+let test_scaling_env_rejects () =
+  List.iter
+    (fun (var, read) ->
+      List.iter
+        (fun v ->
+          Unix.putenv var v;
+          let named =
+            try
+              ignore (read 1000 : int);
+              false
+            with Invalid_argument m -> String.starts_with ~prefix:var m
+          in
+          Unix.putenv var "";
+          Alcotest.(check bool) (Printf.sprintf "%s=%S rejected" var v) true named)
+        [ "20k"; "0"; "-1" ])
+    [
+      ("PK_KEYS", Experiment.scaled_keys);
+      ("PK_LOOKUPS", Experiment.scaled_lookups);
+      ("PK_SCALE", Experiment.scaled_keys);
+    ]
+
+let test_measure () =
   let counter = ref 0 in
-  let fast () = incr counter in
-  let slow () =
-    for _ = 1 to 2000 do
-      incr counter
+  let spin iters () =
+    for _ = 1 to iters do
+      incr (Sys.opaque_identity counter)
     done
   in
-  let results = Bench_time.time_group ~name:"t" [ ("fast", fast); ("slow", slow) ] in
-  let fast_ns = List.assoc "fast" results in
-  let slow_ns = List.assoc "slow" results in
-  Alcotest.(check bool) "positive" true (fast_ns > 0.0 && slow_ns > 0.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "ordering (%.1f < %.1f)" fast_ns slow_ns)
-    true
-    (fast_ns < slow_ns)
+  let samples = Measure.repeat ~n:7 (spin 2000) in
+  Alcotest.(check int) "7 samples" 7 (Array.length samples);
+  Alcotest.(check bool) "all positive" true (Array.for_all (fun ns -> ns > 0.0) samples);
+  let min_ns f = Array.fold_left Float.min Float.infinity (Measure.repeat f) in
+  let fast = min_ns (spin 1) and slow = min_ns (spin 2000) in
+  Alcotest.(check bool) (Printf.sprintf "ordering (%.0f < %.0f)" fast slow) true (fast < slow);
+  let prev = ref (Measure.now_ns ()) and ok = ref true in
+  for _ = 1 to 10_000 do
+    let t = Measure.now_ns () in
+    if t < !prev then ok := false;
+    prev := t
+  done;
+  Alcotest.(check bool) "now_ns non-decreasing" true !ok
 
 let () =
   Alcotest.run "pk_harness"
@@ -72,6 +96,7 @@ let () =
           Alcotest.test_case "register/find" `Quick test_register_and_find;
           Alcotest.test_case "run_ids" `Quick test_run_ids;
           Alcotest.test_case "env scaling" `Quick test_scaling_env;
+          Alcotest.test_case "env scaling rejects malformed" `Quick test_scaling_env_rejects;
         ] );
-      ("bench_time", [ Alcotest.test_case "bechamel wrapper" `Quick test_bench_time_measures ]);
+      ("measure", [ Alcotest.test_case "repeat and clock" `Quick test_measure ]);
     ]

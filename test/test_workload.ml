@@ -128,9 +128,12 @@ let test_wall_ns_positive () =
   let ix = Index.make Index.B_tree (Layout.Direct { key_len = 8 }) env.Workload.mem env.Workload.records in
   Workload.load ds ix;
   let probes = Workload.probes ds ~n:2000 () in
-  let ns = Workload.wall_ns_per_op ~repeats:3 env ix ~probes in
-  Alcotest.(check bool) (Printf.sprintf "sane wall time (%.0f ns)" ns) true
-    (ns > 10.0 && ns < 1_000_000.0)
+  List.iter
+    (fun batch ->
+      let ns = Workload.wall_ns_per_op ~repeats:3 ?batch env ix ~probes in
+      Alcotest.(check bool) (Printf.sprintf "sane wall time (%.0f ns)" ns) true
+        (ns > 10.0 && ns < 1_000_000.0))
+    [ None; Some 64 ]
 
 let test_run_mix () =
   let env = Workload.make_env () in
