@@ -243,114 +243,7 @@ let snapshot_cmd =
       const run $ tag_arg $ keys_arg $ key_len_arg $ batches_arg $ batch_size_arg
       $ seconds_arg $ journal_out_arg $ metrics_arg)
 
-(* {2 rebuild subcommand} — the rebuild-at-scale pipeline end to end:
-   grow an index incrementally (optionally churn it ragged), extract +
-   parallel-sort + gapped-load it into a fresh index, and measure the
-   post-rebuild insert throughput the gap buys. *)
-
-module Rebuild = Pk_rebuild.Rebuild
-
-let shuffled_copy rng pool n =
-  let c = Array.sub pool 0 n in
-  Keygen.shuffle ~rng c;
-  c
-
-let rebuild_cmd =
-  let run tag keys key_len domains gap churn =
-    Pk_core.Hybrid.ensure_registered ();
-    Pk_core.Variants.ensure_registered ();
-    Pk_shard.Shard.ensure_registered ();
-    Pk_fault.Fault.set_unwind false;
-    let mem = Pk_mem.Mem.create () in
-    let records = Record_store.create mem in
-    let src = Index.Registry.build ~key_len tag mem records in
-    let rng = Prng.create 1L in
-    let tail_n = max 1 (keys / 20) in
-    let pool = Keygen.uniform ~rng ~key_len ~alphabet:16 (keys + tail_n) in
-    let insert_all (ix : Index.t) keys =
-      Array.iter
-        (fun k ->
-          let rid = Record_store.insert records ~key:k ~payload:Bytes.empty in
-          if not (ix.Index.insert k ~rid) then Record_store.delete records rid)
-        keys
-    in
-    let (), grow_s = Measure.time (fun () -> insert_all src (Array.sub pool 0 keys)) in
-    let n0 = src.Index.count () in
-    Printf.printf "source          %s: %s keys grown incrementally in %.2fs (%s nodes)\n"
-      src.Index.tag (Tables.fmt_int n0) grow_s
-      (Tables.fmt_int (src.Index.node_count ()));
-    if churn > 0.0 then begin
-      let victims = int_of_float (float_of_int n0 *. min 0.9 churn) in
-      Array.iter
-        (fun k -> ignore (src.Index.delete k : bool))
-        (Array.sub (shuffled_copy rng pool keys) 0 victims);
-      Printf.printf "churn           deleted %s keys; %s remain (nodes still %s)\n"
-        (Tables.fmt_int victims)
-        (Tables.fmt_int (src.Index.count ()))
-        (Tables.fmt_int (src.Index.node_count ()))
-    end;
-    (* The pipeline: extract once, then sort at 1 domain and at the
-       requested fan-out (stage timings, same input). *)
-    let entries = Rebuild.extract (Rebuild.Of_index src) in
-    let time_sort d = Measure.time (fun () -> snd (Rebuild.sort ~domains:d ~store:records entries)) in
-    let _, seq_s = time_sort 1 in
-    let stats, par_s = time_sort domains in
-    Printf.printf
-      "sort            %s entries: %.3fs at 1 domain, %.3fs at %d domains (%d runs, %s tie \
-       derefs)\n"
-      (Tables.fmt_int (Array.length entries))
-      seq_s par_s domains stats.Rebuild.runs
-      (Tables.fmt_int stats.Rebuild.tie_derefs);
-    let dst = Index.Registry.build ~key_len tag mem records in
-    let _, rebuild_s =
-      Measure.time (fun () ->
-          Rebuild.rebuild ~domains ~gap ~store:records ~into:dst (Rebuild.Of_index src))
-    in
-    Printf.printf "rebuild         %.3fs end to end at gap %.2f: %s -> %s nodes\n" rebuild_s gap
-      (Tables.fmt_int (src.Index.node_count ()))
-      (Tables.fmt_int (dst.Index.node_count ()));
-    dst.Index.validate ();
-    (* What the gap buys: a fresh-key insert tail into the rebuilt
-       tree, timed. *)
-    let tail = Array.sub pool keys tail_n in
-    let (), tail_s = Measure.time (fun () -> insert_all dst tail) in
-    Printf.printf "insert tail     %s fresh keys in %.3fs (%s/s) after the gapped load\n"
-      (Tables.fmt_int tail_n) tail_s
-      (Tables.fmt_int (int_of_float (float_of_int tail_n /. tail_s)));
-    (* And compaction closes the loop in place. *)
-    let (), compact_s = Measure.time (fun () -> dst.Index.compact ~gap ()) in
-    dst.Index.validate ();
-    Printf.printf "compact         in place in %.3fs; %s keys, %s nodes\n" compact_s
-      (Tables.fmt_int (dst.Index.count ()))
-      (Tables.fmt_int (dst.Index.node_count ()))
-  in
-  let tag_arg =
-    Arg.(value & opt string "pkB" & info [ "tag" ] ~docv:"TAG" ~doc:"Registry scheme tag (see list-schemes).")
-  in
-  let keys_arg =
-    Arg.(value & opt int 200_000 & info [ "keys"; "k" ] ~docv:"N" ~doc:"Keys grown into the source index.")
-  in
-  let key_len_arg =
-    Arg.(value & opt int 12 & info [ "key-len" ] ~docv:"B" ~doc:"Key length in bytes.")
-  in
-  let domains_arg =
-    Arg.(value & opt int 4 & info [ "domains"; "d" ] ~docv:"N" ~doc:"Sorting domains for the parallel stage.")
-  in
-  let gap_arg =
-    Arg.(value & opt float 0.1 & info [ "gap" ] ~docv:"G" ~doc:"Per-leaf gap fraction of the bulk load, clamped to [0, 0.5] (default 0.1).")
-  in
-  let churn_arg =
-    Arg.(value & opt float 0.0 & info [ "churn" ] ~docv:"F" ~doc:"Delete this fraction of the source keys before rebuilding (default 0: none).")
-  in
-  Cmd.v
-    (Cmd.info "rebuild"
-       ~doc:
-         "rebuild-at-scale pipeline: extract, parallel compressed-key sort, gapped bulk load, \
-          post-load insert tail and in-place compaction")
-    Term.(
-      const run $ tag_arg $ keys_arg $ key_len_arg $ domains_arg $ gap_arg $ churn_arg)
-
 let () =
   let doc = "benchmarks for the pkT/pkB partial-key index reproduction (SIGMOD 2001)" in
   let info = Cmd.info "pkbench" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ list_cmd; list_schemes_cmd; run_cmd; snapshot_cmd; rebuild_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ list_cmd; list_schemes_cmd; run_cmd; snapshot_cmd ]))

@@ -42,74 +42,18 @@ let null = Pk_arena.Arena.null
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 let pow2_at_least n = pow2_at_least (max n 1) 16
 
-let fill_perm perm n =
-  for i = 0 to n - 1 do
-    perm.(i) <- i
-  done
-
 (* {2 Probe ordering}
 
-   [sort_perm keys perm n] sorts [perm.[0..n)] so the referenced keys
-   ascend; equal keys keep their original relative order (ties broken
-   by slot index), which makes batched mutations observationally equal
-   to applying the ops singly in batch order.
+   Fill [perm] with the identity and [pks] with each probe's packed
+   prefix, then sort the slots with {!Keysort}: keys ascend, byte-equal
+   keys keep batch order, no heap allocation. *)
 
-   The sort is written as top-level recursive functions — no closures,
-   no [ref] cells — so a batch lookup performs no heap allocation. *)
-
-let[@inline] [@pklint.hot] cmp_slot (keys : Key.t array) a b =
-  let c = Key.compare keys.(a) keys.(b) in
-  if c <> 0 then c else a - b
-
-let[@inline] [@pklint.hot] swap (perm : int array) i j =
-  let tmp = perm.(i) in
-  perm.(i) <- perm.(j);
-  perm.(j) <- tmp
-
-let[@pklint.hot] rec shift_down keys perm lo j v =
-  if j >= lo && cmp_slot keys perm.(j) v > 0 then begin
-    perm.(j + 1) <- perm.(j);
-    shift_down keys perm lo (j - 1) v
-  end
-  else perm.(j + 1) <- v
-
-let[@pklint.hot] rec insertion_sort keys perm lo hi i =
-  if i < hi then begin
-    shift_down keys perm lo (i - 1) perm.(i);
-    insertion_sort keys perm lo hi (i + 1)
-  end
-
-let[@pklint.hot] rec scan_up keys perm pivot i =
-  if cmp_slot keys perm.(i) pivot < 0 then scan_up keys perm pivot (i + 1) else i
-
-let[@pklint.hot] rec scan_down keys perm pivot j =
-  if cmp_slot keys perm.(j) pivot > 0 then scan_down keys perm pivot (j - 1) else j
-
-(* Hoare partition over the pivot *value*; terminates because slots are
-   distinct, so sentinels (>= pivot up, <= pivot down) always exist. *)
-let[@pklint.hot] rec partition keys perm pivot i j =
-  let i = scan_up keys perm pivot i in
-  let j = scan_down keys perm pivot j in
-  if i >= j then j
-  else begin
-    swap perm i j;
-    partition keys perm pivot (i + 1) (j - 1)
-  end
-
-let[@pklint.hot] rec qsort keys perm lo hi =
-  if hi - lo <= 16 then insertion_sort keys perm lo hi (lo + 1)
-  else begin
-    let mid = lo + ((hi - lo) / 2) in
-    if cmp_slot keys perm.(mid) perm.(lo) < 0 then swap perm mid lo;
-    if cmp_slot keys perm.(hi - 1) perm.(lo) < 0 then swap perm (hi - 1) lo;
-    if cmp_slot keys perm.(hi - 1) perm.(mid) < 0 then swap perm (hi - 1) mid;
-    let pivot = perm.(mid) in
-    let j = partition keys perm pivot lo (hi - 1) in
-    qsort keys perm lo (j + 1);
-    qsort keys perm (j + 1) hi
-  end
-
-let[@pklint.hot] sort_perm keys perm n = qsort keys perm 0 n
+let[@pklint.hot] sort_probes (perm : int array) (pks : int array) (keys : Key.t array) n =
+  for i = 0 to n - 1 do
+    perm.(i) <- i;
+    pks.(i) <- Keysort.pack keys.(i)
+  done;
+  Keysort.sort_perm pks keys perm n
 
 let check_rids keys ~rids =
   if Array.length rids <> Array.length keys then
@@ -189,6 +133,7 @@ end
 module Scratch = struct
   type t = {
     mutable perm : int array;  (* sorted probe permutation *)
+    mutable pks : int array;  (* per-probe packed prefix (sort tag) *)
     mutable rel : Key.cmp array;  (* per-probe FINDNODE rel state *)
     mutable off : int array;  (* per-probe FINDNODE offset state *)
     mutable la : int array;  (* per-probe offset at the last Gt ancestor *)
@@ -204,6 +149,7 @@ module Scratch = struct
   let create () =
     {
       perm = [||];
+      pks = [||];
       rel = [||];
       off = [||];
       la = [||];
@@ -219,7 +165,13 @@ module Scratch = struct
   (* Each array is replaced only when it must grow: storing a boxed
      field pays the write barrier, so steady-state calls store none. *)
 
-  let grow_perm sc n = if Array.length sc.perm < n then sc.perm <- Array.make (pow2_at_least n) 0
+  let grow_perm sc n =
+    if Array.length sc.perm < n then begin
+      let cap = pow2_at_least n in
+      sc.perm <- Array.make cap 0;
+      sc.pks <- Array.make cap 0
+    end
+
   let grow_sign sc n = if Array.length sc.sign < n then sc.sign <- Array.make (pow2_at_least n) 0
 
   (* Grow the FINDNODE state ([rel], [off], [la]) and seed each probe's
@@ -688,9 +640,11 @@ let journaled j ~payload_of o =
    of a present key is a no-op, delete of an absent key is a no-op,
    matching live index semantics — and loaded in one [of_sorted] pass;
    the final batch is replayed incrementally through the normal
-   single-key path, exercising both restore modes every time.  Record
-   ids are re-assigned by [store_insert]: recovered rids are fresh, only
-   the (key, payload) content is durable. *)
+   single-key path, exercising both restore modes every time.  The fold
+   sorts the prefix's ops with {!Keysort} (byte-equal keys keep journal
+   order) and walks each key's group once.  Record ids are re-assigned
+   by [store_insert], in key order: recovered rids are fresh, only the
+   (key, payload) content is durable. *)
 
 type recovery_stats = {
   rec_batches : int;  (** committed batches replayed *)
@@ -701,38 +655,43 @@ type recovery_stats = {
   rec_torn : int;  (** bytes of a torn final record dropped when the journal was read *)
 }
 
-module Bytes_map = Map.Make (Bytes)
-
 let recover ?(gap = 0.1) ~build ~store_insert ~store_delete journal =
   let module J = Pk_journal.Journal in
   let fresh = build () in
-  let committed = J.committed_ops journal in
+  let n_batches, committed = J.committed_ops journal in
   let n_ops = List.length committed in
   let last = List.fold_left (fun acc (b, _) -> Stdlib.max acc b) 0 committed in
   let prefix, tail = List.partition (fun (b, _) -> b <> last) committed in
-  let state =
-    List.fold_left
-      (fun m (_, op) ->
-        match op with
-        | J.Insert { key; payload } ->
-            if Bytes_map.mem key m then m else Bytes_map.add key payload m
-        | J.Delete { key } -> Bytes_map.remove key m)
-      Bytes_map.empty prefix
-  in
-  let bulk = Bytes_map.cardinal state in
-  if bulk > 0 then begin
-    let entries = Array.make bulk (Bytes.empty, 0) in
-    let i = ref 0 in
-    Bytes_map.iter
-      (fun key payload ->
-        entries.(!i) <- (key, store_insert ~key ~payload);
-        incr i)
-      state;
+  let ops = Array.of_list prefix in
+  let keys = Array.map (fun (_, (J.Insert { key; _ } | J.Delete { key })) -> key) ops in
+  let pks = Array.map Keysort.pack keys in
+  let n = Array.length ops in
+  let perm = Array.init n Fun.id in
+  Keysort.sort_perm pks keys perm n;
+  let entries = Array.make n (Bytes.empty, 0) in
+  let bulk = ref 0 and p = ref 0 in
+  while !p < n do
+    let first = perm.(!p) in
+    let live = ref None in
+    while !p < n && pks.(perm.(!p)) = pks.(first) && Key.equal keys.(perm.(!p)) keys.(first) do
+      (match snd ops.(perm.(!p)) with
+      | J.Insert { payload; _ } -> if Option.is_none !live then live := Some payload
+      | J.Delete _ -> live := None);
+      incr p
+    done;
+    Option.iter
+      (fun payload ->
+        let key = keys.(first) in
+        entries.(!bulk) <- (key, store_insert ~key ~payload);
+        incr bulk)
+      !live
+  done;
+  let bulk = !bulk in
+  if bulk > 0 then
     (* Gapped, not full: a recovered tree immediately takes new
        traffic, so its leaves keep the same insert slack a planned
        rebuild would leave. *)
-    fresh.of_sorted ~gap ~fill:(Layout.gap_fill ~gap) entries
-  end;
+    fresh.of_sorted ~gap ~fill:(Layout.gap_fill ~gap) (Array.sub entries 0 bulk);
   List.iter
     (fun (_, op) ->
       match op with
@@ -754,7 +713,7 @@ let recover ?(gap = 0.1) ~build ~store_insert ~store_delete journal =
   Obs.Histogram.observe m_recovery_ops n_ops;
   let stats =
     {
-      rec_batches = List.length (J.committed_batches journal);
+      rec_batches = n_batches;
       rec_ops = n_ops;
       rec_bulk = bulk;
       rec_tail = List.length tail;
@@ -866,8 +825,7 @@ module Make (S : STRUCTURE) = struct
         if n = 1 then S.descend_one t 0
         else begin
           S.prepare_batch t keys n;
-          fill_perm sc.Scratch.perm n;
-          sort_perm keys sc.Scratch.perm n;
+          sort_probes sc.Scratch.perm sc.Scratch.pks keys n;
           S.descend t n
         end
       end
@@ -889,8 +847,7 @@ module Make (S : STRUCTURE) = struct
   let sorted_batch t keys n =
     let sc = S.scratch t in
     Scratch.grow_perm sc n;
-    fill_perm sc.Scratch.perm n;
-    sort_perm keys sc.Scratch.perm n;
+    sort_probes sc.Scratch.perm sc.Scratch.pks keys n;
     sc.Scratch.perm
 
   let insert_batch t keys ~rids =

@@ -23,11 +23,6 @@ val null : int
 (** {2 Scratch-array sizing} *)
 
 val pow2_at_least : int -> int
-val fill_perm : int array -> int -> unit
-
-val sort_perm : Key.t array -> int array -> int -> unit
-(** [sort_perm keys perm n] sorts [perm.[0..n)] so the referenced keys
-    ascend, ties broken by slot index (stable).  Allocation-free. *)
 
 val check_rids : Key.t array -> rids:int array -> unit
 (** Raise [Invalid_argument] unless [keys] and [rids] have equal length. *)
@@ -79,6 +74,7 @@ end
 module Scratch : sig
   type t = {
     mutable perm : int array;
+    mutable pks : int array;
     mutable rel : Key.cmp array;
     mutable off : int array;
     mutable la : int array;
@@ -94,8 +90,8 @@ module Scratch : sig
   val create : unit -> t
 
   val grow_perm : t -> int -> unit
-  (** Make [perm] hold at least [n] probes; the field is stored only
-      when it grows. *)
+  (** Make [perm] and [pks] (the probes' packed sort prefixes) hold at
+      least [n] probes; the fields are stored only when they grow. *)
 
   val grow_sign : t -> int -> unit
   (** As {!grow_perm}, for [sign]. *)
@@ -336,7 +332,8 @@ val recover :
   ops * recovery_stats
 (** Rebuild a fresh index from the journal's committed prefix: all
     committed batches but the last are folded into a sorted logical
-    state and restored in one gapped [of_sorted] pass ([gap] defaults
+    state ({!Keysort.sort_perm} over their ops, one pass per key) and
+    restored in one gapped [of_sorted] pass ([gap] defaults
     to 0.1, so the recovered tree keeps insert slack for the traffic
     that follows); the last batch replays incrementally through the
     single-key path.  Record ids are re-assigned via [store_insert].

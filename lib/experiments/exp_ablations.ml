@@ -1073,8 +1073,20 @@ let run_a11 () =
       the same inserts into a steady-state incrementally grown tree
       (the acceptance bar is within 2x), with a gap-0 contrast row.
    3. Round-trip: rebuild(index) must answer byte-equal lookups for
-      every registered scheme tag, sharded and blocked included. *)
-module Rebuild = Pk_rebuild.Rebuild
+      every registered scheme tag, sharded and blocked included.
+
+   The pipeline is {!Keysort.sort_entries} over the (key, rid) pairs,
+   then one gapped [of_sorted]; [rebuild] extracts a source index
+   through [iter]. *)
+module Keysort = Pk_core.Keysort
+
+let rebuild ?domains ~gap ~(into : Index.t) (src : Index.t) =
+  let entries = Array.make (src.Index.count ()) (Bytes.empty, 0) and i = ref 0 in
+  src.Index.iter (fun ~key ~rid ->
+      entries.(!i) <- (key, rid);
+      incr i);
+  let sorted, _ = Keysort.sort_entries ?domains entries in
+  if Array.length sorted > 0 then into.Index.of_sorted ~gap ~fill:(Layout.gap_fill ~gap) sorted
 
 let run_a12 () =
   let n = Experiment.scaled_keys 1_000_000 in
@@ -1107,17 +1119,17 @@ let run_a12 () =
      jitter by 50%+, so each figure is the minimum over 3 runs. *)
   let timed_min f =
     Array.fold_left Float.min Float.infinity
-      (Measure.repeat ~n:3 (fun () -> ignore (f () : (Key.t * int) array * Rebuild.stats)))
+      (Measure.repeat ~n:3 (fun () -> ignore (f () : (Key.t * int) array * Keysort.stats)))
   in
   let time_full d =
-    let _, stats = Rebuild.sort ~domains:d ~spawn:false ~store entries in
-    (timed_min (fun () -> Rebuild.sort ~domains:d ~spawn:false ~store entries), stats)
+    let _, stats = Keysort.sort_entries ~domains:d ~spawn:false entries in
+    (timed_min (fun () -> Keysort.sort_entries ~domains:d ~spawn:false entries), stats)
   in
   let run_times d =
     Array.init d (fun w ->
         let lo = w * Array.length entries / d and hi = (w + 1) * Array.length entries / d in
         let chunk = Array.sub entries lo (hi - lo) in
-        timed_min (fun () -> Rebuild.sort ~domains:1 ~store chunk))
+        timed_min (fun () -> Keysort.sort_entries chunk))
   in
   let t =
     Tables.create
@@ -1128,7 +1140,7 @@ let run_a12 () =
           ("merge ms", Tables.Right);
           ("Mkey/s", Tables.Right);
           ("speedup", Tables.Right);
-          ("tie derefs", Tables.Right);
+          ("pk collisions", Tables.Right);
         ]
   in
   let json_rows = ref [] in
@@ -1152,7 +1164,7 @@ let run_a12 () =
           fmt_f (merge_ns /. 1e6);
           fmt_f mkeys;
           fmt_f speedup;
-          string_of_int stats.Rebuild.tie_derefs;
+          string_of_int stats.Keysort.pk_collisions;
         ];
       json_rows :=
         Json_out.Obj
@@ -1162,7 +1174,7 @@ let run_a12 () =
             ("merge_ms", Json_out.Float (merge_ns /. 1e6));
             ("keys_per_sec", Json_out.Float (float_of_int n *. 1e9 /. crit));
             ("speedup_vs_1", Json_out.Float speedup);
-            ("tie_derefs", Json_out.Int stats.Rebuild.tie_derefs);
+            ("pk_collisions", Json_out.Int stats.Keysort.pk_collisions);
           ]
         :: !json_rows)
     domain_counts;
@@ -1170,8 +1182,8 @@ let run_a12 () =
   (* The genuinely spawned path must be byte-identical to the
      sequentialized runs; its wall time on this host is reference
      only (meaningless as a scaling figure on one core). *)
-  let seq4, _ = Rebuild.sort ~domains:4 ~spawn:false ~store entries in
-  let (par4, _), spawned_s = Measure.time (fun () -> Rebuild.sort ~domains:4 ~store entries) in
+  let seq4, _ = Keysort.sort_entries ~domains:4 ~spawn:false entries in
+  let (par4, _), spawned_s = Measure.time (fun () -> Keysort.sort_entries ~domains:4 entries) in
   let spawned_ms = spawned_s *. 1e3 in
   let spawn_identical =
     Array.length seq4 = Array.length par4
@@ -1215,7 +1227,7 @@ let run_a12 () =
   let steady = time_tail grown in
   let post_load gap =
     let ix = Index.Registry.build ~key_len "pkB" env.Workload.mem store in
-    ignore (Rebuild.rebuild ~gap ~store ~into:ix (Rebuild.Of_index grown) : Rebuild.stats);
+    rebuild ~gap ~into:ix grown;
     time_tail ix
   in
   let post_gapped = post_load 0.1 and post_packed = post_load 0.0 in
@@ -1245,10 +1257,7 @@ let run_a12 () =
             | None -> ())
         rt_pool;
       let dst = Index.Registry.build ~key_len tag rt_mem rt_records in
-      ignore
-        (Rebuild.rebuild ~domains:2 ~gap:0.1 ~store:rt_records ~into:dst
-           (Rebuild.Of_index src)
-          : Rebuild.stats);
+      rebuild ~domains:2 ~gap:0.1 ~into:dst src;
       dst.Index.validate ();
       Array.iter
         (fun k ->
@@ -1272,6 +1281,7 @@ let run_a12 () =
              time minus summed run times); exact for the pipeline's share-nothing runs and \
              independent of host core count" );
         ("spawned_4domain_wall_ms", Json_out.Float spawned_ms);
+        ("spawn_identical", Json_out.Bool spawn_identical);
         ("steady_ns_per_insert", Json_out.Float steady);
         ("post_gapped_ns_per_insert", Json_out.Float post_gapped);
         ("post_packed_ns_per_insert", Json_out.Float post_packed);

@@ -169,9 +169,10 @@ let committed_batches t =
   iter_records t (fun ~off:_ ~batch op -> if Option.is_none op then acc := batch :: !acc);
   List.sort_uniq compare !acc
 
-(* Two passes: first the set of batches whose commit marker landed,
-   then their operations in append order — correct even if batches were
-   ever interleaved in the byte stream. *)
+(* Two passes: first the set of batches whose commit marker landed
+   (its size is the committed batch count), then their operations in
+   append order — correct even if batches were ever interleaved in the
+   byte stream. *)
 let committed_ops t =
   let committed = Hashtbl.create 16 in
   iter_records t (fun ~off:_ ~batch op ->
@@ -181,7 +182,7 @@ let committed_ops t =
       match op with
       | Some op when Hashtbl.mem committed batch -> acc := (batch, op) :: !acc
       | Some _ | None -> ());
-  List.rev !acc
+  (Hashtbl.length committed, List.rev !acc)
 
 (* {2 Serialization} *)
 

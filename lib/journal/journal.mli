@@ -68,10 +68,10 @@ val last_batch : t -> int
 val committed_batches : t -> int list
 (** Batch ids with a commit marker, ascending. *)
 
-val committed_ops : t -> (int * op) list
-(** Operation records of committed batches, in append order, paired
-    with their batch id — the exact committed prefix recovery must
-    restore. *)
+val committed_ops : t -> int * (int * op) list
+(** The number of committed batches, and the operation records of
+    committed batches in append order, paired with their batch id —
+    the exact committed prefix recovery must restore. *)
 
 val iter_records : t -> (off:int -> batch:int -> op option -> unit) -> unit
 (** Every record in append order — [None] marks a commit record —

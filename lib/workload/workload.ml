@@ -166,9 +166,7 @@ let wall_ns_per_op ?repeats ?batch env ix ~probes =
 (* The dataset's (key, rid) pairs in strictly ascending key order —
    the input shape [Index.of_sorted] wants. *)
 let sorted_pairs ds =
-  let pairs = Array.mapi (fun i k -> (k, ds.rids.(i))) ds.keys in
-  Array.sort (fun (a, _) (b, _) -> Key.compare a b) pairs;
-  pairs
+  fst (Pk_core.Keysort.sort_entries (Array.mapi (fun i k -> (k, ds.rids.(i))) ds.keys))
 
 let load_sorted ?(fill = 1.0) ds ix = ix.Index.of_sorted ~fill (sorted_pairs ds)
 

@@ -49,11 +49,11 @@ let test_framing () =
   Bytes.set k 0 'X';
   Journal.commit j ~batch:b2;
   (match Journal.committed_ops j with
-  | [ (1, i); (1, d); (2, g) ] ->
+  | 2, [ (1, i); (1, d); (2, g) ] ->
       Alcotest.check op_testable "insert" (Journal.Insert { key = b "alpha"; payload = b "pay-1" }) i;
       Alcotest.check op_testable "delete" (Journal.Delete { key = b "beta" }) d;
       Alcotest.check op_testable "copied key" (Journal.Insert { key = b "gamma"; payload = Bytes.empty }) g
-  | ops -> Alcotest.failf "unexpected committed ops (%d)" (List.length ops));
+  | _, ops -> Alcotest.failf "unexpected committed ops (%d)" (List.length ops));
   (* iter_records sees the commit markers too, offsets ascending. *)
   let seen = ref [] in
   let last_off = ref (-1) in
@@ -86,7 +86,8 @@ let test_committed_prefix () =
   Journal.log_delete j ~batch:b2 ~key:(b "a");
   Journal.commit j ~batch:b3;
   Alcotest.(check (list int)) "committed batches" [ 1; 3 ] (Journal.committed_batches j);
-  let ops = Journal.committed_ops j in
+  let n_batches, ops = Journal.committed_ops j in
+  Alcotest.(check int) "committed batch count" 2 n_batches;
   Alcotest.(check int) "b2's records filtered out" 2 (List.length ops);
   Alcotest.(check (list int)) "append order" [ 1; 3 ] (List.map fst ops)
 
@@ -117,7 +118,8 @@ let test_roundtrip () =
     (fun (ba, oa) (bb, ob) ->
       Alcotest.(check int) "batch" ba bb;
       Alcotest.check op_testable "op" oa ob)
-    (Journal.committed_ops j) (Journal.committed_ops j2);
+    (snd (Journal.committed_ops j))
+    (snd (Journal.committed_ops j2));
   (* Batch ids resume after the highest id seen. *)
   Alcotest.(check int) "next batch resumes" (Journal.last_batch j + 1) (Journal.begin_batch j2);
   (* save/load = to_bytes/of_bytes through a file. *)
@@ -188,7 +190,8 @@ let test_torn_tail () =
     in
     Alcotest.(check (list (pair int op_testable)))
       (Printf.sprintf "committed prefix at cut %d" cut)
-      want (Journal.committed_ops torn);
+      want
+      (snd (Journal.committed_ops torn));
     (* the torn tail is dropped: appends resume right after the last
        complete record *)
     Alcotest.(check int)
@@ -300,6 +303,51 @@ let test_recover_empty_and_tail_only () =
       Alcotest.(check string) "payload" "p2"
         (Bytes.to_string (Record_store.read_payload records rid))
 
+(* The bulk-prefix fold (every batch but the last) through packed-prefix
+   collisions: first insert wins over a repeat, a delete clears and a
+   re-insert restores, a delete of an absent key is a no-op, keys equal
+   on their first 7 bytes and ["x"] / ["x\000"] (equal once zero-padded)
+   are told apart by the full key; the final 1-op batch is the tail. *)
+let test_recover_bulk_prefix () =
+  let j = Journal.create () in
+  let batch ops =
+    let batch = Journal.begin_batch j in
+    List.iter
+      (function
+        | `Ins (k, p) -> Journal.log_insert j ~batch ~key:(b k) ~payload:(b p)
+        | `Del k -> Journal.log_delete j ~batch ~key:(b k))
+      ops;
+    Journal.commit j ~batch
+  in
+  batch [ `Ins ("dup-key", "p1") ];
+  batch [ `Ins ("dup-key", "p2") ];
+  batch [ `Ins ("re-insert", "pa"); `Del "re-insert" ];
+  batch [ `Ins ("re-insert", "p3"); `Del "absent-key" ];
+  batch [ `Ins ("collideB", "pB"); `Ins ("collideA", "pA") ];
+  batch [ `Ins ("x\000", "px0"); `Ins ("x", "px") ];
+  batch [ `Ins ("tail-key", "pt") ];
+  let _, records, ix, stats = Index.recover ~key_len:8 ~tag:"pkB" j in
+  let want =
+    [
+      ("collideA", "pA");
+      ("collideB", "pB");
+      ("dup-key", "p1");
+      ("re-insert", "p3");
+      ("tail-key", "pt");
+      ("x", "px");
+      ("x\000", "px0");
+    ]
+  in
+  let got = ref [] in
+  ix.Index.iter (fun ~key ~rid ->
+      got := (Bytes.to_string key, Bytes.to_string (Record_store.read_payload records rid)) :: !got);
+  Alcotest.(check (list (pair string string))) "recovered content" want (List.rev !got);
+  Alcotest.(check int) "count" 7 (ix.Index.count ());
+  Alcotest.(check int) "batches" 7 stats.Engine.rec_batches;
+  Alcotest.(check int) "ops" 11 stats.Engine.rec_ops;
+  Alcotest.(check int) "bulk" 6 stats.Engine.rec_bulk;
+  Alcotest.(check int) "tail" 1 stats.Engine.rec_tail
+
 (* Satellite of the rebuild pipeline: recovery bulk-loads through
    [of_sorted ~gap], so a freshly recovered tree keeps per-leaf slack
    and absorbs a sparse tail of inserts in place.  The contrast run at
@@ -363,6 +411,8 @@ let () =
         [
           Alcotest.test_case "journaled index roundtrip" `Quick test_recover_roundtrip;
           Alcotest.test_case "empty and tail-only" `Quick test_recover_empty_and_tail_only;
+          Alcotest.test_case "bulk prefix through packed-prefix collisions" `Quick
+            test_recover_bulk_prefix;
           Alcotest.test_case "gapped recovery absorbs tail inserts" `Quick
             test_recover_gapped_no_split;
         ] );
