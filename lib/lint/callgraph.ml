@@ -67,8 +67,6 @@ type effects = {
   mutable unlocked_writes : write list;
   mutable guard : bool;
   mutable acquires : lock_class list;
-  mutable acq_key : bool;
-  mutable acq_eoi : bool;
   mutable allocates : bool;
   mutable pins : bool;
   mutable reads_version : bool;
@@ -83,8 +81,6 @@ let empty_effects () =
     unlocked_writes = [];
     guard = false;
     acquires = [];
-    acq_key = false;
-    acq_eoi = false;
     allocates = false;
     pins = false;
     reads_version = false;
@@ -111,8 +107,6 @@ type node = {
 type summary = {
   s_writes_mem : bool;
   s_acquires : lock_class list;
-  s_acq_key : bool;
-  s_acq_eoi : bool;
   s_allocates : bool;
   s_pins : bool;
   s_reads_version : bool;
@@ -122,8 +116,6 @@ let empty_summary =
   {
     s_writes_mem = false;
     s_acquires = [];
-    s_acq_key = false;
-    s_acq_eoi = false;
     s_allocates = false;
     s_pins = false;
     s_reads_version = false;
@@ -403,18 +395,6 @@ let is_version_cell (a : expression) =
       String.equal n "ver" || String.equal n "version"
   | _ -> false
 
-(* Lockable-class events for the Lock_manager lattice (shared with the
-   lock-order rule's intra-procedural walk). *)
-let is_lockable_type ty =
-  match Types.get_desc (Helpers.strip_poly ty) with
-  | Types.Tconstr (p, _, _) ->
-      String.equal (Helpers.last_component (Helpers.path_name p)) "lockable"
-  | _ -> false
-
-let is_acquire_name n =
-  let last = Helpers.last_component n in
-  String.length last >= 7 && String.equal (String.sub last 0 7) "acquire"
-
 let rec pat_idents : type k. k general_pattern -> string list =
  fun p ->
   match p.pat_desc with
@@ -573,22 +553,6 @@ let extract g ~unit_name ?(locked = []) (eff : effects) (root : expression) =
               then eff.calls <- edge :: eff.calls)
             cands
   in
-  let rec note_lockables ctx (a : expression) =
-    if ctx.attr && is_lockable_type a.exp_type then begin
-      match a.exp_desc with
-      | Texp_construct (_, cd, _) -> (
-          match cd.Types.cstr_name with
-          | "Key" -> eff.acq_key <- true
-          | _ -> eff.acq_eoi <- true)
-      | _ -> eff.acq_eoi <- true
-    end
-    else
-      match a.exp_desc with
-      | Texp_tuple comps -> List.iter (note_lockables ctx) comps
-      | Texp_construct (_, cd, cargs) when String.equal cd.Types.cstr_name "::" ->
-          List.iter (note_lockables ctx) cargs
-      | _ -> ()
-  in
   let rec expr it (e : expression) =
     let ctx0 = !cur in
     let cold =
@@ -719,8 +683,6 @@ let extract g ~unit_name ?(locked = []) (eff : effects) (root : expression) =
           | Some (what, tgt) ->
               note_write ctx ~allows:(Helpers.allows e.exp_attributes) e.exp_loc what tgt
           | None -> ());
-          if is_acquire_name name then
-            List.iter (fun (_, a) -> Option.iter (note_lockables ctx) a) args;
           let lockers = locker_classes g ~unit_name f args in
           if not (List.is_empty lockers) then begin
             if ctx.attr then
@@ -785,8 +747,6 @@ let summarize g =
         {
           s_writes_mem = n.eff.writes_mem;
           s_acquires = n.eff.acquires;
-          s_acq_key = n.eff.acq_key;
-          s_acq_eoi = n.eff.acq_eoi;
           s_allocates = n.eff.allocates;
           s_pins = n.eff.pins;
           s_reads_version = n.eff.reads_version;
@@ -813,8 +773,6 @@ let summarize g =
                   {
                     s_writes_mem = acc.s_writes_mem || (cs.s_writes_mem && not m.eff.guard);
                     s_acquires = List.fold_left (fun l c -> add_class c l) acc.s_acquires cs.s_acquires;
-                    s_acq_key = acc.s_acq_key || cs.s_acq_key;
-                    s_acq_eoi = acc.s_acq_eoi || cs.s_acq_eoi;
                     s_allocates = acc.s_allocates || (cs.s_allocates && is_fn && not ecold);
                     s_pins = acc.s_pins || cs.s_pins;
                     s_reads_version = acc.s_reads_version || cs.s_reads_version;
@@ -824,8 +782,6 @@ let summarize g =
         let grew =
           Bool.compare s'.s_writes_mem s.s_writes_mem <> 0
           || List.length s'.s_acquires <> List.length s.s_acquires
-          || Bool.compare s'.s_acq_key s.s_acq_key <> 0
-          || Bool.compare s'.s_acq_eoi s.s_acq_eoi <> 0
           || Bool.compare s'.s_allocates s.s_allocates <> 0
           || Bool.compare s'.s_pins s.s_pins <> 0
           || Bool.compare s'.s_reads_version s.s_reads_version <> 0

@@ -1,7 +1,7 @@
 (** Whole-program call graph + per-function effect summaries.
 
     Built once per analysis over every loaded unit; the interprocedural
-    rules (guarded-mutation, zero-alloc-hot, lock-order, lock-lattice,
+    rules (guarded-mutation, zero-alloc-hot, lock-lattice,
     seqlock-protocol, domain-shared-mutation) resolve names and consume
     summaries from here instead of keeping private resolvers.  See
     DESIGN.md §16 for the model and its documented approximations. *)
@@ -52,8 +52,6 @@ type effects = {
       (** writes to possibly-shared mutable state with no mutex held *)
   mutable guard : bool;  (** establishes the arena guard for its thunk *)
   mutable acquires : lock_class list;
-  mutable acq_key : bool;  (** Lock_manager Key-class acquisition *)
-  mutable acq_eoi : bool;  (** End_of_index / statically-unknown acquisition *)
   mutable allocates : bool;  (** heap allocation outside [@pklint.cold] subtrees *)
   mutable pins : bool;  (** calls an [ops.snapshot] epoch pin *)
   mutable reads_version : bool;  (** fetches an [ops.version] seqlock word *)
@@ -84,8 +82,6 @@ type node = {
 type summary = {
   s_writes_mem : bool;  (** writes, stopping at guard-establishing callees *)
   s_acquires : lock_class list;
-  s_acq_key : bool;
-  s_acq_eoi : bool;
   s_allocates : bool;
   s_pins : bool;
   s_reads_version : bool;

@@ -11,7 +11,6 @@ let default_rules =
     Rule_zero_alloc.rule ~scope:Rule.everywhere;
     Rule_guarded_mutation.rule ~scope:(Rule.under [ "lib/core/" ]);
     Rule_no_swallow.rule ~scope:Rule.everywhere;
-    Rule_lock_order.rule ~scope:Rule.everywhere;
     Rule_domain_shared_mutation.rule ~scope:Rule.everywhere;
     Rule_seqlock.rule ~scope:Rule.everywhere;
     Rule_lock_lattice.rule ~scope:Rule.everywhere;

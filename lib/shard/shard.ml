@@ -6,7 +6,6 @@
 module Key = Pk_keys.Key
 module Index = Pk_core.Index
 module Obs = Pk_obs.Obs
-module Retry = Pk_lockmgr.Retry
 module Prng = Pk_util.Prng
 module Fault = Pk_fault.Fault
 
@@ -513,9 +512,20 @@ module Engine = struct
 
   (* {2 Optimistic cross-domain readers} *)
 
+  (* Reader restart budget and backoff schedule (see [backoff_pause]
+     in shard.mli). *)
+  let max_attempts = 8
+  let base_pause = 0.001
+  let max_pause = 0.1
+  let jitter = 0.5
+
+  let backoff_pause rng ~attempt =
+    let capped = Float.min (base_pause *. (2.0 ** float_of_int (attempt - 1))) max_pause in
+    let u = Prng.float rng 1.0 in
+    capped *. (1.0 +. (jitter *. ((2.0 *. u) -. 1.0)))
+
   type reader = {
     eng : t;
-    policy : Retry.policy;
     rng : Prng.t;
     epochs : Index.t option array;
     pins : int array;
@@ -526,10 +536,9 @@ module Engine = struct
     m_restarts : Obs.Counter.t;
   }
 
-  let reader ?(policy = Retry.default_policy) ?(seed = 0) eng =
+  let reader ?(seed = 0) eng =
     {
       eng;
-      policy;
       rng = Prng.create (Int64.of_int seed);
       epochs = Array.make (Array.length eng.shards) None;
       pins = Array.make (Array.length eng.shards) 0;
@@ -555,7 +564,7 @@ module Engine = struct
     Mutex.protect rd.eng.shards.(i).lock (fun () -> repin_locked rd i)
 
   let backoff rd ~attempt =
-    let pause = Retry.draw rd.policy rd.rng ~attempt in
+    let pause = backoff_pause rd.rng ~attempt in
     (* No wall-clock sleep: scale the draw into cpu_relax spins so the
        schedule stays deterministic and tests stay fast. *)
     let spins = min (int_of_float (pause *. 1e6)) 50_000 in
@@ -579,7 +588,7 @@ module Engine = struct
      [note_restart]/[repin] until validation passes or the attempt
      budget forces the locked fallback. *)
   let rec read_attempt rd (s : shard) i key attempt =
-    if attempt > rd.policy.Retry.max_attempts then
+    if attempt > max_attempts then
       (* Bounded restarts: one read in a short critical section with
          the shard's writer, leaving a fresh pin behind. *)
       (Mutex.protect s.lock (fun () ->

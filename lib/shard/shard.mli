@@ -18,10 +18,10 @@
     - after each lookup the reader re-checks
       {!Pk_core.Engine.ops.validated}[ pin]; on failure (a mutation
       committed or is in flight) it counts a restart in the
-      [pk_lock_restarts_total{index="<tag>"}] series, backs off by the
-      {!Pk_lockmgr.Retry.policy} schedule, re-pins, and retries —
-      bounded by [max_attempts], after which it serves one read under
-      the shard mutex.
+      [pk_lock_restarts_total{index="<tag>"}] series, backs off by
+      {!Engine.backoff_pause}, re-pins, and retries — at most 8
+      attempts, after which it serves one read under the shard
+      mutex.
 
     Invariant: a value returned without the mutex was read from an
     epoch whose pinned version was still current after the read, i.e.
@@ -100,10 +100,15 @@ module Engine : sig
       Not itself shareable across domains — create one per reader
       domain. *)
 
-  val reader : ?policy:Pk_lockmgr.Retry.policy -> ?seed:int -> t -> reader
-  (** [policy] bounds restarts and shapes the backoff
-      (default {!Pk_lockmgr.Retry.default_policy}); [seed] drives the
-      jitter PRNG. *)
+  val reader : ?seed:int -> t -> reader
+  (** [seed] (default 0) drives the backoff jitter PRNG. *)
+
+  val backoff_pause : Pk_util.Prng.t -> attempt:int -> float
+  (** The pause in seconds before retrying after failed attempt
+      [attempt] (1-based): [min (1 ms * 2^(attempt-1)) 100 ms] scaled
+      by a jitter factor in [\[0.5, 1.5\]], drawing exactly one
+      [Prng.float rng 1.0].  Pure apart from advancing [rng]; exposed
+      so tests can replay the schedule. *)
 
   val read : reader -> Pk_keys.Key.t -> int option
   (** One validated lookup (see the protocol above). *)

@@ -1,9 +1,9 @@
 (* pklint rule tests: each fixture is compiled with [ocamlc -bin-annot]
    into a fresh temp directory at test time, loaded through the real
-   cmt driver, and checked for exact finding counts.  Stub modules
-   named [Mem]/[L] inside the fixtures are matched by the rules'
-   dotted-suffix name resolution, exactly as the real [Pk_mem.Mem] and
-   [Pk_lockmgr.Lock_manager] are. *)
+   cmt driver, and checked for exact finding counts.  A stub module
+   named [Mem] inside the fixtures is matched by the rules'
+   dotted-suffix name resolution, exactly as the real [Pk_mem.Mem]
+   is. *)
 
 module Lint = Pk_lint
 
@@ -131,45 +131,6 @@ let test_guarded_mutation () =
     (guarded_prelude
    ^ "let safe r o v = Mem.guard r (fun () -> Mem.write_u8 r o v)\n\
       let caller r o v = safe r o v")
-
-(* {2 lock-order} *)
-
-let lock_prelude =
-  "module L = struct\n\
-  \  type lockable = Key of int | End_of_index\n\
-  \  type mode = S | X\n\
-  \  let acquire_all (_ : (lockable * mode) list) = ()\n\
-   end\n"
-
-let test_lock_order () =
-  check_count "End_of_index before Key flagged" Lint.Rule_lock_order.rule ~expect:1
-    (lock_prelude ^ "let bad k = L.acquire_all [ (L.End_of_index, L.X); (L.Key k, L.X) ]");
-  check_count "Key before End_of_index clean" Lint.Rule_lock_order.rule ~expect:0
-    (lock_prelude ^ "let good k = L.acquire_all [ (L.Key k, L.X); (L.End_of_index, L.X) ]");
-  check_count "inversion across two calls flagged" Lint.Rule_lock_order.rule ~expect:1
-    (lock_prelude
-   ^ "let bad2 k = L.acquire_all [ (L.End_of_index, L.X) ]; L.acquire_all [ (L.Key k, L.S) ]");
-  check_count "branches are alternatives, not sequence" Lint.Rule_lock_order.rule ~expect:0
-    (lock_prelude
-   ^ "let ok b k =\n\
-      \  if b then L.acquire_all [ (L.End_of_index, L.X) ]\n\
-      \  else L.acquire_all [ (L.Key k, L.X) ]");
-  check_count "suppressed by allow" Lint.Rule_lock_order.rule ~expect:1
-    (lock_prelude
-   ^ "let[@pklint.allow \"lock-order\"] waived k =\n\
-      \  L.acquire_all [ (L.End_of_index, L.X); (L.Key k, L.X) ]\n\
-      let bad k = L.acquire_all [ (L.End_of_index, L.X); (L.Key k, L.X) ]");
-  (* Interprocedural, through the shared call-graph summaries: the
-     key-class acquisition hides in a callee... *)
-  check_count "inversion via a key-acquiring callee flagged" Lint.Rule_lock_order.rule ~expect:1
-    (lock_prelude
-   ^ "let take_key k = L.acquire_all [ (L.Key k, L.X) ]\n\
-      let bad k = L.acquire_all [ (L.End_of_index, L.X) ]; take_key k");
-  (* ...or the End_of_index acquisition does. *)
-  check_count "callee's End_of_index taints the caller" Lint.Rule_lock_order.rule ~expect:1
-    (lock_prelude
-   ^ "let take_eoi () = L.acquire_all [ (L.End_of_index, L.X) ]\n\
-      let bad k = take_eoi (); L.acquire_all [ (L.Key k, L.X) ]")
 
 (* {2 domain-shared-mutation} *)
 
@@ -384,7 +345,6 @@ let () =
           Alcotest.test_case "zero-alloc-hot" `Quick test_zero_alloc;
           Alcotest.test_case "no-swallow" `Quick test_no_swallow;
           Alcotest.test_case "guarded-mutation" `Quick test_guarded_mutation;
-          Alcotest.test_case "lock-order" `Quick test_lock_order;
           Alcotest.test_case "domain-shared-mutation" `Quick test_domain_shared_mutation;
           Alcotest.test_case "seqlock-protocol" `Quick test_seqlock;
           Alcotest.test_case "lock-lattice" `Quick test_lock_lattice;
