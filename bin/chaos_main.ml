@@ -9,6 +9,7 @@
 
 module Chaos = Pk_chaos.Chaos
 module Opstream = Chaos.Opstream
+module Index = Pk_core.Index
 
 type schedule_kind = Stream of Opstream.mode | Parallel
 
@@ -54,15 +55,13 @@ let () =
   in
   let kind = try kind_of_string !kind with Invalid_argument msg -> usage_error msg in
   let tags =
-    let known = Opstream.tags () in
-    if !trees = "" then known
+    if !trees = "" then Index.Registry.tags ()
     else
       List.map
         (fun t ->
-          if List.mem t known then t
-          else
-            usage_error
-              (Printf.sprintf "unknown scheme tag %S; valid tags: %s" t (String.concat ", " known)))
+          match Index.Registry.get t with
+          | _ -> t
+          | exception Invalid_argument msg -> usage_error msg)
         (String.split_on_char ',' !trees)
   in
   let seed_list = List.init !seeds (fun i -> !base + i) in

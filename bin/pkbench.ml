@@ -12,6 +12,17 @@ let register_all () =
   Pk_experiments.Exp_figures.register ();
   Pk_experiments.Exp_ablations.register ()
 
+(* A registry scheme tag, checked against the table while the command
+   line is parsed (an unknown tag is a usage error listing the valid
+   ones). *)
+let scheme_tag =
+  Arg.conv'
+    ( (fun tag ->
+        match Pk_core.Index.Registry.get tag with
+        | _ -> Ok tag
+        | exception Invalid_argument msg -> Error msg),
+      Format.pp_print_string )
+
 let list_cmd =
   let run () =
     register_all ();
@@ -26,10 +37,6 @@ let list_cmd =
 
 let list_schemes_cmd =
   let run key_len =
-    (* Self-registering scheme modules must be linked before the
-       registry is enumerated. *)
-    Pk_core.Hybrid.ensure_registered ();
-    Pk_core.Variants.ensure_registered ();
     Printf.printf "%-14s %-9s %s\n" "tag" "structure" (Printf.sprintf "entry bytes (key_len=%d)" key_len);
     List.iter
       (fun (info : Pk_core.Index.Registry.info) ->
@@ -63,7 +70,7 @@ let fill_arg =
   Arg.(value & opt (some float) None & info [ "fill" ] ~docv:"F" ~doc:"Bulk-load fill factor for a9, clamped to [0.5, 1.0] (default 1.0).")
 
 let schemes_arg =
-  Arg.(value & opt (some string) None & info [ "schemes" ] ~docv:"TAGS" ~doc:"Comma-separated registry scheme tags for a9 (see list-schemes; default: every registered scheme).")
+  Arg.(value & opt (some (list scheme_tag)) None & info [ "schemes" ] ~docv:"TAGS" ~doc:"Comma-separated registry scheme tags for a9 (see list-schemes; default: every registered scheme).")
 
 let machine_arg =
   Arg.(value & opt (some string) None & info [ "machine" ] ~docv:"NAME" ~doc:"Simulated machine preset: ultra30 (default), ultra60, pentium3, pentium3e or modern (3-level hierarchy).  a10 sweeps its own preset list unless this is given.")
@@ -85,7 +92,7 @@ let run_cmd =
     Option.iter (fun v -> Unix.putenv "PK_SCALE" (string_of_float v)) scale;
     Option.iter (fun v -> Unix.putenv "PK_BATCH" (string_of_int v)) batch;
     Option.iter (fun v -> Unix.putenv "PK_FILL" (string_of_float v)) fill;
-    Option.iter (fun v -> Unix.putenv "PK_SCHEMES" v) schemes;
+    Option.iter (fun v -> Unix.putenv "PK_SCHEMES" (String.concat "," v)) schemes;
     Option.iter (fun v -> Unix.putenv "PK_MACHINE" v) machine;
     (* Wall-clock runs measure the paper's layout story; keep the
        undo-journal byte copies out of the hot path. *)
@@ -120,8 +127,6 @@ module Measure = Pk_util.Measure
 
 let snapshot_cmd =
   let run tag keys key_len batches batch_size seconds journal_out metrics =
-    Pk_core.Hybrid.ensure_registered ();
-    Pk_core.Variants.ensure_registered ();
     Pk_fault.Fault.set_unwind false;
     let mem = Pk_mem.Mem.create () in
     let records = Record_store.create mem in
@@ -214,7 +219,7 @@ let snapshot_cmd =
     end
   in
   let tag_arg =
-    Arg.(value & opt string "pkB" & info [ "tag" ] ~docv:"TAG" ~doc:"Registry scheme tag (see list-schemes).")
+    Arg.(value & opt scheme_tag "pkB" & info [ "tag" ] ~docv:"TAG" ~doc:"Registry scheme tag (see list-schemes).")
   in
   let keys_arg =
     Arg.(value & opt int 200_000 & info [ "keys"; "k" ] ~docv:"N" ~doc:"Bulk-loaded keys.")

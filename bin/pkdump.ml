@@ -15,6 +15,17 @@ module Workload = Pk_workload.Workload
 module Keygen = Pk_keys.Keygen
 module Tables = Pk_util.Tables
 
+(* A registry scheme tag, checked against the table while the command
+   line is parsed (an unknown tag is a usage error listing the valid
+   ones). *)
+let scheme_tag =
+  Arg.conv'
+    ( (fun tag ->
+        match Pk_core.Index.Registry.get tag with
+        | _ -> Ok tag
+        | exception Invalid_argument msg -> Error msg),
+      Format.pp_print_string )
+
 let parse_scheme s ~key_len =
   match String.lowercase_ascii s with
   | "direct" -> Ok (Layout.Direct { key_len })
@@ -123,8 +134,6 @@ let run_trace structure scheme keys key_len entropy node_bytes probes capacity =
    ideal) plus the plan's extent and padding. *)
 
 let run_layout tag keys key_len entropy fill =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
   let alphabet = Keygen.alphabet_for_entropy entropy in
   let env = Workload.make_env () in
   let ds = Workload.make_dataset env ~key_len ~alphabet ~n:keys () in
@@ -282,7 +291,7 @@ let () =
   in
   let layout_cmd =
     let tag =
-      Arg.(value & opt string "pkB-blocked" & info [ "tag" ] ~docv:"TAG" ~doc:"Registry scheme tag (see pkbench list-schemes); *-blocked tags carry a placement plan.")
+      Arg.(value & opt scheme_tag "pkB-blocked" & info [ "tag" ] ~docv:"TAG" ~doc:"Registry scheme tag (see pkbench list-schemes); *-blocked tags carry a placement plan.")
     in
     let layout_keys =
       Arg.(value & opt int 100_000 & info [ "keys"; "k" ] ~docv:"N" ~doc:"Bulk-loaded keys.")

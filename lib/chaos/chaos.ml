@@ -96,12 +96,6 @@ module Opstream = struct
   type scenario = { seed : int; config : config; pool : Key.t array; bulk : int; ops : op list }
   type mode = Classic | Recover
 
-  let tags () =
-    Pk_core.Hybrid.ensure_registered ();
-    Pk_core.Variants.ensure_registered ();
-    Pk_shard.Shard.ensure_registered ();
-    Index.Registry.tags ()
-
   let registry tag sc =
     Index.Registry.build ~node_bytes:sc.config.node_bytes ~key_len:sc.config.key_len tag
 
@@ -465,7 +459,7 @@ module Opstream = struct
              replay (to_string small))
 
   let suite ?(faults = fun ~seed:_ -> []) ?alphabet ?tags:only ~mode ~seeds ~ops ~on_failure () =
-    let only = match only with Some ts -> ts | None -> tags () in
+    let only = match only with Some ts -> ts | None -> Index.Registry.tags () in
     List.fold_left
       (fun acc seed ->
         let sc = generate ?alphabet ~seed ~ops () in
@@ -494,7 +488,7 @@ end
    disarmed: the fault machinery is not domain-safe, and this
    schedule hunts protocol bugs, not unwind bugs. *)
 
-module Shard = Pk_shard.Shard
+module Shard = Pk_core.Shard
 
 let parallel_bases = [| "pkB"; "B-indirect"; "pkT" |]
 

@@ -76,10 +76,6 @@ module Opstream : sig
       durable). *)
   type mode = Classic | Recover
 
-  val tags : unit -> string list
-  (** Every registered scheme tag ({!Pk_core.Index.Registry}), with the
-      extension modules' linkage forced first. *)
-
   val registry : string -> scenario -> Pk_mem.Mem.t -> Pk_records.Record_store.t -> Pk_core.Index.t
   (** [registry tag sc] builds [tag] at the scenario's node size and
       key length. *)
@@ -144,7 +140,7 @@ module Opstream : sig
     unit ->
     outcome
   (** {!check} the generated scenario of every seed against every tag
-      (default {!tags}: the whole registry), summing the outcomes of
+      (default: every {!Pk_core.Index.Registry} tag), summing the outcomes of
       the passing schedules and handing each failure report to
       [on_failure]. *)
 end
@@ -154,7 +150,7 @@ end
 val run_parallel_schedule :
   ?readers:int -> ?shards:int -> seed:int -> ops:int -> unit -> outcome * int
 (** One multicore schedule: a hash-sharded engine
-    ({!Pk_shard.Shard.Engine}, seed-chosen base scheme) is bulk-loaded
+    ({!Pk_core.Shard.Engine}, seed-chosen base scheme) is bulk-loaded
     with a frozen key population, then a writer (this domain) churns a
     disjoint churn population through the aggregate ops — singles plus
     periodic cross-shard batches — while [readers] (default 2) domains

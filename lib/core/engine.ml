@@ -633,6 +633,38 @@ let journaled j ~payload_of o =
        tree's keys — a crash mid-compact must be invisible to replay. *)
   }
 
+(* {2 Read-only views}
+
+   [read_only_view ~pinned ~on_release o] keeps [o]'s read paths and
+   statistics; every mutator raises.  [pinned] is the live index's
+   version word at pin time, so [validated v] answers "were these reads
+   taken at version [v]?" — trivially so for the pin version, never
+   otherwise.  [release] runs [on_release] exactly once. *)
+
+let read_only_view ~pinned ~on_release o =
+  let tag = o.tag in
+  let released = ref false in
+  let read_only name = invalid_arg (tag ^ "." ^ name ^ ": snapshot views are read-only") in
+  {
+    o with
+    insert = (fun _ ~rid:_ -> read_only "insert");
+    delete = (fun _ -> read_only "delete");
+    insert_batch = (fun _ ~rids:_ -> read_only "insert_batch");
+    delete_batch = (fun _ -> read_only "delete_batch");
+    of_sorted = (fun ?gap:_ ~fill:_ _ -> read_only "of_sorted");
+    compact = (fun ?gap:_ () -> read_only "compact");
+    version = (fun () -> pinned);
+    validated = (fun v -> v = pinned);
+    guard = (fun f -> f ());
+    layout = (fun () -> None);
+    snapshot = (fun () -> invalid_arg (tag ^ ".snapshot: cannot snapshot a snapshot view"));
+    release =
+      (fun () ->
+        if !released then invalid_arg (tag ^ ".release: snapshot already released");
+        released := true;
+        on_release ());
+  }
+
 (* {2 Recovery}
 
    Rebuild an index from a journal's committed prefix.  All committed
@@ -985,62 +1017,23 @@ module Make (S : STRUCTURE) = struct
           bulk_load_plan t ~gap entries)
     end
 
-  (* Read-only wrap over a snapshot-view clone: the read paths are the
-     ordinary engine entry points (group descent included) aimed at the
-     view regions; every mutator raises.  [release] drops the COW pages
-     exactly once.  [pinned] is the live index's version word at pin
-     time, so [validated v] answers "were these reads taken at version
-     [v]?" — trivially so for the pin version, never otherwise. *)
-  let read_only_view vt ~tag ~pinned ~on_release =
-    Counters.attach (S.counters vt) ~tag;
-    let released = ref false in
-    let read_only name = invalid_arg (tag ^ "." ^ name ^ ": snapshot views are read-only") in
-    {
-      tag;
-      insert = (fun _ ~rid:_ -> read_only "insert");
-      lookup = lookup vt;
-      delete = (fun _ -> read_only "delete");
-      lookup_into = lookup_into vt;
-      insert_batch = (fun _ ~rids:_ -> read_only "insert_batch");
-      delete_batch = (fun _ -> read_only "delete_batch");
-      of_sorted = (fun ?gap:_ ~fill:_ _ -> read_only "of_sorted");
-      compact = (fun ?gap:_ () -> read_only "compact");
-      iter = iter vt;
-      range = (fun ~lo ~hi f -> range vt ~lo ~hi f);
-      seq_from = seq_from vt;
-      count = (fun () -> S.count vt);
-      height = (fun () -> S.height vt);
-      node_count = (fun () -> S.node_count vt);
-      space_bytes = (fun () -> S.space_bytes vt);
-      deref_count = (fun () -> (S.counters vt).Counters.derefs);
-      node_visits = (fun () -> (S.counters vt).Counters.visits);
-      reset_counters = (fun () -> Counters.reset (S.counters vt));
-      trace = (S.counters vt).Counters.trace;
-      validate = (fun () -> S.validate vt);
-      version = (fun () -> pinned);
-      validated = (fun v -> v = pinned);
-      guard = (fun f -> f ());
-      layout = (fun () -> None);
-      snapshot = (fun () -> invalid_arg (tag ^ ".snapshot: cannot snapshot a snapshot view"));
-      release =
-        (fun () ->
-          if !released then invalid_arg (tag ^ ".release: snapshot already released");
-          released := true;
-          on_release ());
-    }
-
-  let snapshot t ~tag ~ver () =
+  (* A snapshot is the ordinary wrap of a snapshot-view clone — the
+     read paths (group descent included) aimed at the view regions —
+     made read-only at the live index's pin-time version word. *)
+  let rec snapshot t ~tag ~ver () =
     let reg = Mem.snapshot_view (S.region t) in
     let records = Record_store.snapshot_view (S.records t) in
     let vt = S.snapshot_view t ~reg ~records in
     Obs.Counter.incr m_snapshot_pins;
     Obs.Counter.add m_snapshot_live 1;
-    read_only_view vt ~tag:(tag ^ "@snap") ~pinned:(Atomic.get ver) ~on_release:(fun () ->
+    read_only_view ~pinned:(Atomic.get ver)
+      ~on_release:(fun () ->
         Mem.release_view reg;
         Record_store.release_view records;
         Obs.Counter.add m_snapshot_live (-1))
+      (wrap vt ~tag:(tag ^ "@snap"))
 
-  let wrap t ~tag =
+  and wrap t ~tag =
     Counters.attach (S.counters t) ~tag;
     let last_plan = ref None in
     (* Seqlock-style publication word for cross-domain readers: odd

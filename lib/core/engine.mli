@@ -303,6 +303,14 @@ type ops = {
           call raises).  On the live index this raises. *)
 }
 
+val read_only_view : pinned:int -> on_release:(unit -> unit) -> ops -> ops
+(** The snapshot-view record over [o]'s read paths and statistics:
+    every mutator raises, [version] is fixed at the pin-time word
+    [pinned] (so [validated v] iff [v = pinned]), [guard] is a plain
+    call, [layout] is [None], snapshotting raises, and [release] runs
+    [on_release] exactly once (a second call raises).  Shared by
+    {!Make}[.wrap]'s snapshots and the sharded aggregate's. *)
+
 (** {2 Write-ahead journaling and recovery} *)
 
 val journaled : Pk_journal.Journal.t -> payload_of:(int -> bytes) -> ops -> ops

@@ -4,22 +4,3 @@ let scheme_for ~key_len ?(granularity = Pk_partialkey.Partial_key.Byte) ?(l_byte
   match key_len with
   | Some n when n <= threshold_bytes -> Layout.Direct { key_len = n }
   | Some _ | None -> Layout.Partial { granularity; l_bytes }
-
-let make ?node_bytes ~key_len ?granularity ?l_bytes structure mem records =
-  let scheme = scheme_for ~key_len ?granularity ?l_bytes () in
-  let ix = Index.make ?node_bytes structure scheme mem records in
-  { ix with Index.tag = "hybrid(" ^ ix.Index.tag ^ ")" }
-
-let () =
-  Index.Registry.register
-    {
-      Index.Registry.tag = "hybrid";
-      structure = "B";
-      entry_bytes =
-        (fun key_len -> Some (Layout.entry_size (scheme_for ~key_len:(Some key_len) ())));
-      build =
-        (fun ?node_bytes ~key_len mem records ->
-          make ?node_bytes ~key_len:(Some key_len) Index.B_tree mem records);
-    }
-
-let ensure_registered () = ()

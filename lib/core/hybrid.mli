@@ -4,7 +4,8 @@
 
     The choice is made per index at creation time from the schema's key
     type — exactly the decision a database kernel would make when
-    building an index over a typed column. *)
+    building an index over a typed column.  {!Index.make_hybrid} builds
+    such an index. *)
 
 val threshold_bytes : int
 (** Keys at or below this length use direct storage (8 — the paper
@@ -20,20 +21,3 @@ val scheme_for :
 (** [scheme_for ~key_len ()] — [Direct] for fixed keys of length <=
     {!val:threshold_bytes}, [Partial] otherwise (including
     variable-length keys, [key_len = None]). *)
-
-val make :
-  ?node_bytes:int ->
-  key_len:int option ->
-  ?granularity:Pk_partialkey.Partial_key.granularity ->
-  ?l_bytes:int ->
-  Index.structure ->
-  Pk_mem.Mem.t ->
-  Pk_records.Record_store.t ->
-  Index.t
-(** A hybrid index: the structure is as requested, the key-storage
-    scheme chosen by {!val:scheme_for}.  Tagged ["hybrid(...)"]. *)
-
-val ensure_registered : unit -> unit
-(** No-op forcing this module's linkage, so its ["hybrid"]
-    {!Index.Registry} entry (a B-tree with the per-key-length scheme
-    choice above) is visible to enumerators. *)

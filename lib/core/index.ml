@@ -1,6 +1,6 @@
 (* The uniform access-path record is built once by {!Engine.Make}; this
    module only re-exports it, picks the tree behind each scheme, and
-   keeps the first-class scheme registry. *)
+   keeps the static scheme table. *)
 type t = Engine.ops = {
   tag : string;
   insert : Pk_keys.Key.t -> rid:int -> bool;
@@ -56,6 +56,10 @@ let make_prefix_btree ?(node_bytes = 192) ?(layout = Layout.Flat) mem records =
     (Prefix_btree.create mem records { Prefix_btree.node_bytes; layout })
     ~tag:(tag_with_layout "B+/prefix" layout)
 
+let make_hybrid ?node_bytes ~key_len ?granularity ?l_bytes structure mem records =
+  let ix = make ?node_bytes structure (Hybrid.scheme_for ~key_len ?granularity ?l_bytes ()) mem records in
+  { ix with tag = "hybrid(" ^ ix.tag ^ ")" }
+
 let journaled journal records ix =
   Engine.journaled journal
     ~payload_of:(fun rid -> Pk_records.Record_store.read_payload records rid)
@@ -96,20 +100,83 @@ module Registry = struct
     build : ?node_bytes:int -> key_len:int -> Pk_mem.Mem.t -> Pk_records.Record_store.t -> t;
   }
 
-  let table : (string, info) Hashtbl.t = Hashtbl.create 16
-  let order : string list ref = ref []  (* registration order, newest first *)
+  (* A [make] tree over the key-storage scheme [scheme key_len]. *)
+  let tree ?layout tag structure scheme =
+    {
+      tag;
+      structure = structure_tag structure;
+      entry_bytes = (fun key_len -> Some (Layout.entry_size (scheme key_len)));
+      build =
+        (fun ?node_bytes ~key_len mem records ->
+          make ?node_bytes ?layout structure (scheme key_len) mem records);
+    }
 
-  let register info =
-    if not (Hashtbl.mem table info.tag) then begin
-      Hashtbl.replace table info.tag info;
-      order := info.tag :: !order
-    end
+  let prefix ?layout tag =
+    {
+      tag;
+      structure = "B+";
+      entry_bytes = (fun _ -> None);
+      build = (fun ?node_bytes ~key_len:_ mem records -> make_prefix_btree ?node_bytes ?layout mem records);
+    }
 
-  (* Sorted, not registration order: linkage forcing makes the latter
-     depend on which modules happen to be pulled in. *)
-  let tags () = List.sort_uniq String.compare !order
-  let find tag = Hashtbl.find_opt table tag
-  let all () = List.filter_map find (tags ())
+  (* One [base] sub-index per shard, all over the caller's memory
+     system and record heap. *)
+  let sharded ~partition base =
+    let tag = Printf.sprintf "sharded:%d/%s" (Shard.Partition.shards partition) base.tag in
+    {
+      tag;
+      structure = base.structure;
+      entry_bytes = (fun _ -> None);
+      build =
+        (fun ?node_bytes ~key_len mem records ->
+          Shard.Engine.ops
+            (Shard.Engine.create ~tag ~partition (fun _ ->
+                 base.build ?node_bytes ~key_len mem records)));
+    }
+
+  let pk l_bytes key_len = scheme_of K_pk ~key_len ~l_bytes
+
+  (* Every buildable scheme, one row each, sorted by tag: the paper's
+     six, the §2 prefix B+-tree, the §6 hybrid, the l = 4 point of the
+     l-sweep (A2), the blocked bulk-load placements (identical search
+     paths, only addresses differ), and one hash- and one
+     range-partitioned sharded engine, so every registry-driven suite
+     also exercises the sharded path. *)
+  let table =
+    let paper =
+      List.map
+        (fun (tag, structure, kind) ->
+          tree tag structure (fun key_len -> scheme_of kind ~key_len ~l_bytes:2))
+        paper_defs
+    in
+    let pkb = List.find (fun info -> String.equal info.tag "pkB") paper in
+    let prefix_btree = prefix "B+/prefix" in
+    let blocked = Layout.blocked_default in
+    List.sort
+      (fun a b -> String.compare a.tag b.tag)
+      (paper
+      @ [
+          prefix_btree;
+          prefix ~layout:blocked "B+/prefix-blocked";
+          {
+            tag = "hybrid";
+            structure = "B";
+            entry_bytes =
+              (fun key_len -> Some (Layout.entry_size (Hybrid.scheme_for ~key_len:(Some key_len) ())));
+            build =
+              (fun ?node_bytes ~key_len mem records ->
+                make_hybrid ?node_bytes ~key_len:(Some key_len) B_tree mem records);
+          };
+          tree "B/pk-byte-l4" B_tree (pk 4);
+          tree ~layout:blocked "pkB-blocked" B_tree (pk 2);
+          tree ~layout:blocked "pkT-blocked" T_tree (pk 2);
+          sharded ~partition:(Shard.Partition.hash 4) pkb;
+          sharded ~partition:(Shard.Partition.range [| Pk_keys.Key.of_string "m" |]) prefix_btree;
+        ])
+
+  let tags () = List.map (fun info -> info.tag) table
+  let find tag = List.find_opt (fun info -> String.equal info.tag tag) table
+  let all () = table
 
   let get tag =
     match find tag with
@@ -122,31 +189,6 @@ module Registry = struct
   let build ?node_bytes ~key_len tag mem records =
     (get tag).build ?node_bytes ~key_len mem records
 end
-
-(* The six paper schemes and the §2 prefix B+-tree register here;
-   further variants ({!Hybrid}, {!Variants}) register themselves. *)
-let () =
-  List.iter
-    (fun (tag, structure, kind) ->
-      Registry.register
-        {
-          Registry.tag;
-          structure = structure_tag structure;
-          entry_bytes =
-            (fun key_len -> Some (Layout.entry_size (scheme_of kind ~key_len ~l_bytes:2)));
-          build =
-            (fun ?node_bytes ~key_len mem records ->
-              make ?node_bytes structure (scheme_of kind ~key_len ~l_bytes:2) mem records);
-        })
-    paper_defs;
-  Registry.register
-    {
-      Registry.tag = "B+/prefix";
-      structure = "B+";
-      entry_bytes = (fun _ -> None);
-      build =
-        (fun ?node_bytes ~key_len:_ mem records -> make_prefix_btree ?node_bytes mem records);
-    }
 
 (* Crash recovery: fresh memory system + record store, committed-prefix
    replay, deep validation — see {!Engine.recover}. *)

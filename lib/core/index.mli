@@ -1,7 +1,7 @@
 (** Uniform first-class interface over the index schemes of §5 (plus
     any configuration), so workloads, benchmarks and examples can treat
-    them interchangeably — plus the scheme {!module:Registry} every
-    driver enumerates. *)
+    them interchangeably — plus the static scheme {!module:Registry}
+    every driver enumerates. *)
 
 (** The access-path record assembled by {!Engine.Make}[.wrap]
     (re-exported so the fields are usable through either name). *)
@@ -96,6 +96,18 @@ val make_prefix_btree :
     interface — the §2 key-compression alternative, used by ablation
     A8. *)
 
+val make_hybrid :
+  ?node_bytes:int ->
+  key_len:int option ->
+  ?granularity:Pk_partialkey.Partial_key.granularity ->
+  ?l_bytes:int ->
+  structure ->
+  Pk_mem.Mem.t ->
+  Pk_records.Record_store.t ->
+  t
+(** The §6 hybrid: the structure as requested, the key-storage scheme
+    chosen by {!Hybrid.scheme_for}.  Tagged ["hybrid(...)"]. *)
+
 val journaled : Pk_journal.Journal.t -> Pk_records.Record_store.t -> t -> t
 (** {!Engine.journaled} with payloads resolved through the given record
     store: every mutator write-ahead-logs its logical records (key and
@@ -108,11 +120,13 @@ val paper_schemes : key_len:int -> ?l_bytes:int -> unit -> (string * structure *
     byte-granularity partial keys of [l_bytes] (default 2), the paper's
     preferred configuration. *)
 
-(** Tag → constructor registry of every available scheme.  The six
-    paper schemes and the prefix B+-tree are registered at module
-    initialisation; extension modules ({!module:Hybrid},
-    {!module:Variants}) register themselves — force their linkage with
-    their [ensure_registered] before enumerating. *)
+(** The static tag → constructor table of every buildable scheme, one
+    row each: the six paper schemes, [B+/prefix] and
+    [B+/prefix-blocked], [hybrid] (a B-tree with {!Hybrid}'s
+    per-key-length scheme choice), [B/pk-byte-l4], [pkB-blocked],
+    [pkT-blocked], and the sharded engines [sharded:4/pkB]
+    (hash-partitioned) and [sharded:2/B+/prefix] (range-partitioned at
+    ["m"]).  Every program sees the same rows. *)
 module Registry : sig
   type info = {
     tag : string;  (** Registry name, e.g. ["pkB"]; the built index's
@@ -124,12 +138,8 @@ module Registry : sig
     build : ?node_bytes:int -> key_len:int -> Pk_mem.Mem.t -> Pk_records.Record_store.t -> t;
   }
 
-  val register : info -> unit
-  (** First registration of a tag wins; later ones are ignored. *)
-
   val tags : unit -> string list
-  (** All registered tags, sorted and duplicate-free (registration
-      order would depend on linkage forcing). *)
+  (** Every row's tag, sorted. *)
 
   val find : string -> info option
 
@@ -138,7 +148,7 @@ module Registry : sig
       tags when the tag is unknown. *)
 
   val all : unit -> info list
-  (** All registered schemes, in {!val:tags} order. *)
+  (** Every row, in {!val:tags} order. *)
 
   val build :
     ?node_bytes:int ->
@@ -167,7 +177,7 @@ val recover :
   Pk_journal.Journal.t ->
   Pk_mem.Mem.t * Pk_records.Record_store.t * t * Engine.recovery_stats
 (** Crash recovery by tag: build a fresh memory system, record store
-    and registered scheme, then replay the journal's committed prefix
+    and the tag's scheme, then replay the journal's committed prefix
     through {!Engine.recover} (gapped bulk [of_sorted] for all
     committed batches but the last — [gap] defaults to 0.1, leaving
     insert slack for post-recovery traffic — incremental replay of the

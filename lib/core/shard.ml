@@ -1,13 +1,14 @@
 (* Sharded multicore serving (see shard.mli for the protocol).  The
-   aggregate access path is one more {!Index.t} record, so everything
+   aggregate access path is one more {!Engine.ops} record, so everything
    downstream — journaling, chaos, benches, the registry — composes
    with sharding for free. *)
 
 module Key = Pk_keys.Key
-module Index = Pk_core.Index
 module Obs = Pk_obs.Obs
 module Prng = Pk_util.Prng
 module Fault = Pk_fault.Fault
+
+type ops = Engine.ops
 
 module Partition = struct
   type t =
@@ -64,7 +65,7 @@ end
 
 module Engine = struct
   type shard = {
-    ix : Index.t;
+    ix : ops;
     lock : Mutex.t;
         (* serialises this shard's mutators with reader epoch pins *)
     m_probes : Obs.Counter.t;
@@ -102,7 +103,7 @@ module Engine = struct
         (* serialises record-heap COW page captures (the one arena all
            shards share) against reader epoch pin/release *)
     trace : Obs.Trace.t;
-    mutable cached_ops : Index.t option;
+    mutable cached_ops : ops option;
   }
 
   let create ~tag ~partition build =
@@ -146,7 +147,7 @@ module Engine = struct
 
   let rec guarded_when p (shards : shard array) i f =
     if i >= Array.length shards then f ()
-    else if p i then shards.(i).ix.Index.guard (fun () -> guarded_when p shards (i + 1) f)
+    else if p i then shards.(i).ix.Engine.guard (fun () -> guarded_when p shards (i + 1) f)
     else guarded_when p shards (i + 1) f
 
   let always _ = true
@@ -188,14 +189,14 @@ module Engine = struct
       out.(slots.(j)) <- outs.(j)
     done
 
-  let[@pklint.hot] lookup_into_aux tag part sc (subs : Index.t array) keys out =
+  let[@pklint.hot] lookup_into_aux tag part sc (subs : ops array) keys out =
     let n = Array.length keys in
     if Array.length out < n then
       (invalid_arg (tag ^ ".lookup_into: result array too small")) [@pklint.cold];
     scatter part sc keys;
     for s = 0 to Array.length subs - 1 do
       if sc.counts.(s) > 0 then begin
-        subs.(s).Index.lookup_into sc.skeys.(s) sc.souts.(s);
+        subs.(s).Engine.lookup_into sc.skeys.(s) sc.souts.(s);
         gather sc s out
       end
     done
@@ -229,8 +230,8 @@ module Engine = struct
                 merge_nodes next () )
       | Seq.Nil -> assert false
 
-  let merged_from (subs : Index.t array) from () =
-    merge_nodes (Array.map (fun ix -> ix.Index.seq_from from ()) subs) ()
+  let merged_from (subs : ops array) from () =
+    merge_nodes (Array.map (fun ix -> ix.Engine.seq_from from ()) subs) ()
 
   let m_iter subs f =
     Seq.iter (fun (key, rid) -> f ~key ~rid) (merged_from subs Bytes.empty)
@@ -247,13 +248,13 @@ module Engine = struct
     in
     go (merged_from subs lo ())
 
-  let sum f (subs : Index.t array) = Array.fold_left (fun acc ix -> acc + f ix) 0 subs
+  let sum f (subs : ops array) = Array.fold_left (fun acc ix -> acc + f ix) 0 subs
 
-  let validate_parts tag part (subs : Index.t array) =
+  let validate_parts tag part (subs : ops array) =
     Array.iteri
-      (fun i (ix : Index.t) ->
-        ix.Index.validate ();
-        ix.Index.iter (fun ~key ~rid:_ ->
+      (fun i (ix : ops) ->
+        ix.Engine.validate ();
+        ix.Engine.iter (fun ~key ~rid:_ ->
             let want = Partition.route part key in
             if want <> i then
               failwith
@@ -261,68 +262,18 @@ module Engine = struct
                    (Key.to_hex key) i want)))
       subs
 
-  (* {2 Read-only aggregate over pinned per-shard epochs} *)
-
-  let snap_ops ~tag ~part (subs : Index.t array) ~pinned =
-    let sc = make_scatter (Array.length subs) in
-    let released = ref false in
-    let read_only name = invalid_arg (tag ^ "." ^ name ^ ": snapshot views are read-only") in
-    let lookup_into keys out = lookup_into_aux tag part sc subs keys out in
-    {
-      Index.tag;
-      insert = (fun _ ~rid:_ -> read_only "insert");
-      lookup = (fun key -> subs.(Partition.route part key).Index.lookup key);
-      delete = (fun _ -> read_only "delete");
-      lookup_into;
-      insert_batch = (fun _ ~rids:_ -> read_only "insert_batch");
-      delete_batch = (fun _ -> read_only "delete_batch");
-      of_sorted = (fun ?gap:_ ~fill:_ _ -> read_only "of_sorted");
-      compact = (fun ?gap:_ () -> read_only "compact");
-      iter = (fun f -> m_iter subs f);
-      range = (fun ~lo ~hi f -> m_range subs ~lo ~hi f);
-      seq_from = (fun from -> merged_from subs from);
-      count = (fun () -> sum (fun ix -> ix.Index.count ()) subs);
-      height = (fun () -> Array.fold_left (fun acc ix -> max acc (ix.Index.height ())) 0 subs);
-      node_count = (fun () -> sum (fun ix -> ix.Index.node_count ()) subs);
-      space_bytes = (fun () -> sum (fun ix -> ix.Index.space_bytes ()) subs);
-      deref_count = (fun () -> sum (fun ix -> ix.Index.deref_count ()) subs);
-      node_visits = (fun () -> sum (fun ix -> ix.Index.node_visits ()) subs);
-      reset_counters = (fun () -> Array.iter (fun ix -> ix.Index.reset_counters ()) subs);
-      trace = Obs.Trace.create ();
-      validate = (fun () -> validate_parts tag part subs);
-      version = (fun () -> pinned);
-      validated = (fun v -> v = pinned);
-      guard = (fun f -> f ());
-      layout = (fun () -> None);
-      snapshot = (fun () -> invalid_arg (tag ^ ".snapshot: cannot snapshot a snapshot view"));
-      release =
-        (fun () ->
-          if !released then invalid_arg (tag ^ ".release: snapshot already released");
-          released := true;
-          Array.iter (fun ix -> ix.Index.release ()) subs);
-    }
-
   (* Pin one shard's epoch.  Caller holds the shard lock, so no
      mutation of this shard is in flight and the pinned version word
      is even; the pin lock serialises the record-heap shadow attach
      against other pinners and [record_write]. *)
   let pin_sub t i =
-    Mutex.protect t.pin_lock (fun () -> t.shards.(i).ix.Index.snapshot ())
+    Mutex.protect t.pin_lock (fun () -> t.shards.(i).ix.Engine.snapshot ())
 
-  let release_sub t (ep : Index.t) = Mutex.protect t.pin_lock ep.Index.release
+  let release_sub t (ep : ops) = Mutex.protect t.pin_lock ep.Engine.release
 
-  let m_snapshot t () =
-    let subs =
-      Array.mapi
-        (fun i s -> Mutex.protect s.lock (fun () -> pin_sub t i))
-        t.shards
-    in
-    let pinned = Array.fold_left (fun acc (ix : Index.t) -> acc + ix.Index.version ()) 0 subs in
-    snap_ops ~tag:(t.stag ^ "@snap") ~part:t.part subs ~pinned
+  (* {2 The aggregate access path} *)
 
-  (* {2 The live aggregate access path} *)
-
-  let make_ops t =
+  let rec make_ops t =
     let subs = Array.map (fun s -> s.ix) t.shards in
     let routed_mut key =
       let i = Partition.route t.part key in
@@ -353,7 +304,7 @@ module Engine = struct
                   if c > 0 then begin
                     let slots = t.sc.slots.(s) in
                     let sres =
-                      subs.(s).Index.insert_batch t.sc.skeys.(s)
+                      subs.(s).Engine.insert_batch t.sc.skeys.(s)
                         ~rids:(Array.init c (fun j -> rids.(slots.(j))))
                     in
                     Obs.Counter.add t.shards.(s).m_mutations c;
@@ -375,7 +326,7 @@ module Engine = struct
                 for s = 0 to Array.length subs - 1 do
                   let c = t.sc.counts.(s) in
                   if c > 0 then begin
-                    let sres = subs.(s).Index.delete_batch t.sc.skeys.(s) in
+                    let sres = subs.(s).Engine.delete_batch t.sc.skeys.(s) in
                     Obs.Counter.add t.shards.(s).m_mutations c;
                     for j = 0 to c - 1 do
                       res.(t.sc.slots.(s).(j)) <- sres.(j)
@@ -408,7 +359,7 @@ module Engine = struct
               Array.iteri
                 (fun s part ->
                   if Array.length part > 0 then begin
-                    subs.(s).Index.of_sorted ?gap ~fill part;
+                    subs.(s).Engine.of_sorted ?gap ~fill part;
                     Obs.Counter.add t.shards.(s).m_mutations (Array.length part)
                   end)
                 parts))
@@ -419,24 +370,24 @@ module Engine = struct
          the whole aggregate, matching batch mutators. *)
       locked_when always t.shards 0 (fun () ->
           guarded_when always t.shards 0 (fun () ->
-              Array.iter (fun (ix : Index.t) -> ix.Index.compact ?gap ()) subs))
+              Array.iter (fun (ix : ops) -> ix.Engine.compact ?gap ()) subs))
     in
     {
-      Index.tag = t.stag;
+      Engine.tag = t.stag;
       insert =
         (fun key ~rid ->
           let s = routed_mut key in
-          Mutex.protect s.lock (fun () -> s.ix.Index.insert key ~rid));
+          Mutex.protect s.lock (fun () -> s.ix.Engine.insert key ~rid));
       lookup =
         (fun key ->
           let i = Partition.route t.part key in
           Obs.Trace.emit t.trace Obs.Trace.k_route i 0;
           Obs.Counter.incr t.shards.(i).m_probes;
-          t.shards.(i).ix.Index.lookup key);
+          t.shards.(i).ix.Engine.lookup key);
       delete =
         (fun key ->
           let s = routed_mut key in
-          Mutex.protect s.lock (fun () -> s.ix.Index.delete key));
+          Mutex.protect s.lock (fun () -> s.ix.Engine.delete key));
       lookup_into;
       insert_batch;
       delete_batch;
@@ -445,33 +396,61 @@ module Engine = struct
       iter = (fun f -> m_iter subs f);
       range = (fun ~lo ~hi f -> m_range subs ~lo ~hi f);
       seq_from = (fun from -> merged_from subs from);
-      count = (fun () -> sum (fun ix -> ix.Index.count ()) subs);
-      height = (fun () -> Array.fold_left (fun acc ix -> max acc (ix.Index.height ())) 0 subs);
-      node_count = (fun () -> sum (fun ix -> ix.Index.node_count ()) subs);
-      space_bytes = (fun () -> sum (fun ix -> ix.Index.space_bytes ()) subs);
-      deref_count = (fun () -> sum (fun ix -> ix.Index.deref_count ()) subs);
-      node_visits = (fun () -> sum (fun ix -> ix.Index.node_visits ()) subs);
-      reset_counters = (fun () -> Array.iter (fun ix -> ix.Index.reset_counters ()) subs);
+      count = (fun () -> sum (fun ix -> ix.Engine.count ()) subs);
+      height = (fun () -> Array.fold_left (fun acc ix -> max acc (ix.Engine.height ())) 0 subs);
+      node_count = (fun () -> sum (fun ix -> ix.Engine.node_count ()) subs);
+      space_bytes = (fun () -> sum (fun ix -> ix.Engine.space_bytes ()) subs);
+      deref_count = (fun () -> sum (fun ix -> ix.Engine.deref_count ()) subs);
+      node_visits = (fun () -> sum (fun ix -> ix.Engine.node_visits ()) subs);
+      reset_counters = (fun () -> Array.iter (fun ix -> ix.Engine.reset_counters ()) subs);
       trace = t.trace;
       validate = (fun () -> validate_parts t.stag t.part subs);
-      version = (fun () -> sum (fun ix -> ix.Index.version ()) subs);
+      version = (fun () -> sum (fun ix -> ix.Engine.version ()) subs);
       validated =
         (fun v ->
           (* Versions only grow, so "every word even and the sum
              unchanged" implies every word unchanged. *)
           let total = ref 0 and even = ref true in
           Array.iter
-            (fun (ix : Index.t) ->
-              let w = ix.Index.version () in
+            (fun (ix : ops) ->
+              let w = ix.Engine.version () in
               if w land 1 = 1 then even := false;
               total := !total + w)
             subs;
           !even && !total = v);
       guard = (fun f -> guarded_when always t.shards 0 f);
       layout = (fun () -> None);
-      snapshot = (fun () -> m_snapshot t ());
+      snapshot = (fun () -> snapshot t);
       release = (fun () -> invalid_arg (t.stag ^ ".release: not a snapshot view"));
     }
+
+  (* One read-only aggregate over every shard's pinned epoch: the same
+     access path over the epochs, with its own scatter buffers, trace
+     and unregistered probe counters, so snapshot reads neither race
+     the live batch scratch nor count as live probes. *)
+  and snapshot t =
+    let subs =
+      Array.mapi
+        (fun i s -> Mutex.protect s.lock (fun () -> pin_sub t i))
+        t.shards
+    in
+    let pinned = Array.fold_left (fun acc (ix : ops) -> acc + ix.Engine.version ()) 0 subs in
+    let view =
+      {
+        t with
+        stag = t.stag ^ "@snap";
+        shards =
+          Array.map2
+            (fun s ix -> { s with ix; m_probes = Obs.Counter.nop (); m_mutations = Obs.Counter.nop () })
+            t.shards subs;
+        sc = make_scatter (Array.length subs);
+        trace = Obs.Trace.create ();
+        cached_ops = None;
+      }
+    in
+    Engine.read_only_view ~pinned
+      ~on_release:(fun () -> Array.iter (fun (ix : ops) -> ix.Engine.release ()) subs)
+      (make_ops view)
 
   let ops t =
     match t.cached_ops with
@@ -500,7 +479,7 @@ module Engine = struct
                 let s = ref w in
                 while !s < k do
                   if t.sc.counts.(!s) > 0 then
-                    subs.(!s).Index.lookup_into t.sc.skeys.(!s) t.sc.souts.(!s);
+                    subs.(!s).Engine.lookup_into t.sc.skeys.(!s) t.sc.souts.(!s);
                   s := !s + d
                 done))
       in
@@ -527,7 +506,7 @@ module Engine = struct
   type reader = {
     eng : t;
     rng : Prng.t;
-    epochs : Index.t option array;
+    epochs : ops option array;
     pins : int array;
     mutable n_restarts : int;
     mutable torn : bool;
@@ -557,7 +536,7 @@ module Engine = struct
         rd.epochs.(i) <- None;
         release_sub rd.eng ep
     | None -> ());
-    rd.pins.(i) <- rd.eng.shards.(i).ix.Index.version ();
+    rd.pins.(i) <- rd.eng.shards.(i).ix.Engine.version ();
     rd.epochs.(i) <- Some (pin_sub rd.eng i)
 
   let repin rd i =
@@ -593,7 +572,7 @@ module Engine = struct
          the shard's writer, leaving a fresh pin behind. *)
       (Mutex.protect s.lock (fun () ->
            repin_locked rd i;
-           (match rd.epochs.(i) with Some ep -> ep | None -> assert false).Index.lookup key))
+           (match rd.epochs.(i) with Some ep -> ep | None -> assert false).Engine.lookup key))
       [@pklint.cold]
     else begin
       (match rd.epochs.(i) with
@@ -606,14 +585,14 @@ module Engine = struct
          like [n_restarts]).  Injected faults must keep propagating for
          the chaos harness. *)
       let res =
-        (try ep.Index.lookup key with
+        (try ep.Engine.lookup key with
         | Fault.Injected _ as e -> raise e
         | _ ->
             (rd.torn <- true) [@pklint.allow "domain-shared-mutation"];
             None)
         [@pklint.allow "no-swallow"]
       in
-      if (not rd.torn) && s.ix.Index.validated rd.pins.(i) then res
+      if (not rd.torn) && s.ix.Engine.validated rd.pins.(i) then res
       else
         (* Validation failed: the pin is stale or a mutation is in
            flight.  Count the restart, back off, take a fresh pin
@@ -643,39 +622,3 @@ module Engine = struct
               release_sub rd.eng ep)
     done
 end
-
-let sharded_tag ~shards base = Printf.sprintf "sharded:%d/%s" shards base
-
-let build_sharded ~partition ~base ?node_bytes ~key_len mem records =
-  let tag = sharded_tag ~shards:(Partition.shards partition) base in
-  Engine.ops
-    (Engine.create ~tag ~partition (fun _ ->
-         Index.Registry.build ?node_bytes ~key_len base mem records))
-
-(* Registry variants: one hash-partitioned, one range-partitioned, so
-   every registry-driven suite (equivalence, chaos recover, A9) also
-   exercises the sharded path. *)
-let () =
-  Index.Registry.register
-    {
-      Index.Registry.tag = sharded_tag ~shards:4 "pkB";
-      structure = "B";
-      entry_bytes = (fun _ -> None);
-      build =
-        (fun ?node_bytes ~key_len mem records ->
-          build_sharded ~partition:(Partition.hash 4) ~base:"pkB" ?node_bytes ~key_len mem
-            records);
-    };
-  Index.Registry.register
-    {
-      Index.Registry.tag = sharded_tag ~shards:2 "B+/prefix";
-      structure = "B+";
-      entry_bytes = (fun _ -> None);
-      build =
-        (fun ?node_bytes ~key_len mem records ->
-          build_sharded
-            ~partition:(Partition.range [| Key.of_string "m" |])
-            ~base:"B+/prefix" ?node_bytes ~key_len mem records);
-    }
-
-let ensure_registered () = ()

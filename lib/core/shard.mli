@@ -1,22 +1,21 @@
 (** Sharded multicore serving: a keyspace partitioner plus an engine
     that spreads one logical index over N single-writer sub-indexes,
-    each an ordinary {!Pk_core.Engine.Make}[.wrap]-built
-    {!Pk_core.Index.t} with its own node arena and counters, all
-    sharing the caller's record heap.
+    each an ordinary [Engine.Make]-built access path with its
+    own node arena and counters, all sharing the caller's record heap.
 
     The front door is single-threaded (one client thread drives the
-    aggregate {!Pk_core.Index.t}); every mutator takes the routed
+    aggregate access path); every mutator takes the routed
     shard's mutex, so cross-domain {e readers} can run concurrently
     through {!type:Engine.reader} handles — the optimistic path:
 
     - each shard's sub-index publishes a seqlock version word
-      ({!Pk_core.Engine.ops.version}: odd while a mutation is in
+      ([version] of {!type:ops}: odd while a mutation is in
       flight, bumped again on commit);
     - a reader pins a copy-on-write epoch per shard (under the shard
       mutex, so the pinned version is even) and serves lookups from
       the pinned epoch without taking any lock;
     - after each lookup the reader re-checks
-      {!Pk_core.Engine.ops.validated}[ pin]; on failure (a mutation
+      [validated pin]; on failure (a mutation
       committed or is in flight) it counts a restart in the
       [pk_lock_restarts_total{index="<tag>"}] series, backs off by
       {!Engine.backoff_pause}, re-pins, and retries — at most 8
@@ -26,6 +25,9 @@
     Invariant: a value returned without the mutex was read from an
     epoch whose pinned version was still current after the read, i.e.
     no mutation of that shard overlapped the read. *)
+
+type ops = Engine.ops
+(** The core access-path record, {!Pk_core.Engine.ops}. *)
 
 module Partition : sig
   type t
@@ -51,12 +53,12 @@ module Engine : sig
   type t
 
   val create :
-    tag:string -> partition:Partition.t -> (int -> Pk_core.Index.t) -> t
+    tag:string -> partition:Partition.t -> (int -> ops) -> t
   (** [create ~tag ~partition build] builds one sub-index per shard
       with [build i].  Sub-indexes must be empty and mutated only
       through the aggregate ops / shard locks from then on. *)
 
-  val ops : t -> Pk_core.Index.t
+  val ops : t -> ops
   (** The aggregate access path (cached): mutators route and lock the
       shard ([insert]/[delete]) or lock every involved shard in index
       order with nested fault guards (batches, [of_sorted] — keeping
@@ -71,7 +73,7 @@ module Engine : sig
       its lock) into one read-only aggregate. *)
 
   val shard_count : t -> int
-  val sub : t -> int -> Pk_core.Index.t
+  val sub : t -> int -> ops
   (** Shard [i]'s sub-index — for per-shard statistics; do not mutate
       through it. *)
 
@@ -120,11 +122,3 @@ module Engine : sig
   val release_reader : reader -> unit
   (** Drop the handle's pinned epochs (their COW pages). *)
 end
-
-val sharded_tag : shards:int -> string -> string
-(** ["sharded:<n>/<base>"]. *)
-
-val ensure_registered : unit -> unit
-(** Force linkage: registers the sharded registry variants
-    ([sharded:4/pkB] hash-partitioned, [sharded:2/B+/prefix]
-    range-partitioned at "m") into {!Pk_core.Index.Registry}. *)

@@ -9,8 +9,6 @@ module Cachesim = Pk_cachesim.Cachesim
 module Machine = Pk_cachesim.Machine
 module Layout = Pk_core.Layout
 module Index = Pk_core.Index
-module Hybrid = Pk_core.Hybrid
-module Variants = Pk_core.Variants
 module Partial_key = Pk_partialkey.Partial_key
 module Workload = Pk_workload.Workload
 module Distribution = Pk_workload.Distribution
@@ -73,24 +71,9 @@ let build_schemes ?machine ?tlb ~key_len ~alphabet ~n ~n_warm ~n_probe schemes =
       { name; ix; env; warm; probe })
     schemes
 
-(* {2 Registry-driven scheme selection}
-
-   [Hybrid] and [Variants] register their schemes at module
-   initialisation; referencing them here forces their linkage so every
-   registry enumeration below sees the full tag set. *)
-
-let ensure_registry () =
-  Hybrid.ensure_registered ();
-  Variants.ensure_registered ()
-
-let registry_schemes () =
-  ensure_registry ();
-  Index.Registry.all ()
-
 (* Resolve registry tags to (tag, env -> index) builders.  Unknown tags
    fail up front with the list of valid tags. *)
 let builders_by_tag ?node_bytes ~key_len tags =
-  ensure_registry ();
   List.map
     (fun tag ->
       let info = Index.Registry.get tag in

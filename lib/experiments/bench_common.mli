@@ -12,8 +12,6 @@ module Cachesim = Pk_cachesim.Cachesim
 module Machine = Pk_cachesim.Machine
 module Layout = Pk_core.Layout
 module Index = Pk_core.Index
-module Hybrid = Pk_core.Hybrid
-module Variants = Pk_core.Variants
 module Partial_key = Pk_partialkey.Partial_key
 module Workload = Pk_workload.Workload
 module Distribution = Pk_workload.Distribution
@@ -59,9 +57,6 @@ val build_schemes :
   built list
 (** Build and warm one index per (name, structure, scheme) triple over
     a shared key population. *)
-
-val ensure_registry : unit -> unit
-val registry_schemes : unit -> Index.Registry.info list
 
 val builders_by_tag :
   ?node_bytes:int -> key_len:int -> string list -> (string * (Workload.env -> Index.t)) list

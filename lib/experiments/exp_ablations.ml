@@ -350,7 +350,7 @@ let run_a7 () =
       let warm = Workload.probes ds ~seed:11 ~n:3000 () in
       let all = Workload.probes ds ~seed:12 ~n:(3000 + n_probe) () in
       let probe = Array.sub all 3000 n_probe in
-      let hybrid = Hybrid.make ~key_len:(Some key_len) Index.B_tree env.Workload.mem env.Workload.records in
+      let hybrid = Index.make_hybrid ~key_len:(Some key_len) Index.B_tree env.Workload.mem env.Workload.records in
       let bdirect = Index.make Index.B_tree (Layout.Direct { key_len }) env.Workload.mem env.Workload.records in
       let pkb =
         Index.make Index.B_tree
@@ -576,19 +576,13 @@ let run_a9 () =
   let misses = Hashtbl.create 64 in
   let builds = Hashtbl.create 16 in
   let json_rows = ref [] in
-  (* Every registered scheme (the paper six, B+/prefix, hybrid, and any
-     registered variant), or the PK_SCHEMES comma-separated tag subset —
-     unknown tags abort with the valid-tag list. *)
+  (* Every registry scheme, or the PK_SCHEMES comma-separated tag
+     subset — unknown tags abort with the valid-tag list. *)
   let schemes =
-    match Sys.getenv_opt "PK_SCHEMES" with
-    | None | Some "" ->
-        List.map
-          (fun (info : Index.Registry.info) ->
-            ( info.Index.Registry.tag,
-              fun (env : Workload.env) ->
-                info.Index.Registry.build ~key_len env.Workload.mem env.Workload.records ))
-          (registry_schemes ())
-    | Some tags -> builders_by_tag ~key_len (String.split_on_char ',' tags)
+    builders_by_tag ~key_len
+      (match Sys.getenv_opt "PK_SCHEMES" with
+      | None | Some "" -> Index.Registry.tags ()
+      | Some tags -> String.split_on_char ',' tags)
   in
   List.iteri
     (fun si (name, mk) ->
@@ -738,7 +732,6 @@ let run_a10 () =
   let pairs =
     [ ("pkB", "pkB-blocked"); ("pkT", "pkT-blocked"); ("B+/prefix", "B+/prefix-blocked") ]
   in
-  ensure_registry ();
   Printf.printf "keys=%d, key size=%d B, entropy=%s, fill=%.2f, probes=%d\n\n" n key_len
     (entropy_tag alphabet) fill n_probe;
   let t =
@@ -862,7 +855,7 @@ let run_a10 () =
    concurrent pass (reader domains vs a churning writer) exercises the
    optimistic validated-read protocol and records the restart
    count. *)
-module Shard = Pk_shard.Shard
+module Shard = Pk_core.Shard
 
 let run_a11 () =
   let n = Experiment.scaled_keys 400_000 in
@@ -872,7 +865,6 @@ let run_a11 () =
   let churn = 48 (* delete+re-insert pairs per shard per repeat: the write share *) in
   let repeats = 24 in
   let domain_counts = [ 1; 2; 4; 8 ] in
-  ensure_registry ();
   let env = Workload.make_env () in
   let ds = Workload.make_dataset env ~key_len ~alphabet ~n () in
   let sorted = Workload.sorted_pairs ds in
@@ -1092,8 +1084,6 @@ let run_a12 () =
   let n = Experiment.scaled_keys 1_000_000 in
   let key_len = 16 and alphabet = high_entropy in
   let domain_counts = [ 1; 2; 4; 8 ] in
-  ensure_registry ();
-  Shard.ensure_registered ();
   let env = Workload.make_env () in
   let ds = Workload.make_dataset env ~key_len ~alphabet ~n () in
   let store = env.Workload.records in

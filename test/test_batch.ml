@@ -6,7 +6,6 @@ module Keygen = Pk_keys.Keygen
 module Prng = Pk_util.Prng
 module Layout = Pk_core.Layout
 module Index = Pk_core.Index
-module Hybrid = Pk_core.Hybrid
 module Record_store = Pk_records.Record_store
 
 let key_len = 12
@@ -24,7 +23,7 @@ let makers : (string * (Pk_mem.Mem.t -> Record_store.t -> Index.t)) list =
   @ [
       ("B+/prefix", fun mem records -> Index.make_prefix_btree mem records);
       ( "hybrid",
-        fun mem records -> Hybrid.make ~key_len:(Some key_len) Index.B_tree mem records );
+        fun mem records -> Index.make_hybrid ~key_len:(Some key_len) Index.B_tree mem records );
     ]
 
 let loaded_index make ~seed ~n =

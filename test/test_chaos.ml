@@ -26,7 +26,7 @@ let result = Alcotest.(result outcome (pair int string))
 
 (* [n] seeds x 14 registry tags, every schedule fault-armed. *)
 let acceptance ~mode ~seeds:n ~ops =
-  let tags = Opstream.tags () in
+  let tags = Index.Registry.tags () in
   Alcotest.(check bool) "full scheme registry" true (List.length tags >= 14);
   let n_schedules = n * List.length tags in
   Alcotest.(check bool) "1000+ schedules" true (n_schedules >= 1000);
@@ -192,7 +192,7 @@ let () =
           Alcotest.test_case "replay determinism" `Quick
             (replay_determinism ~mode:Opstream.Recover ~tag:"pkB" ~seed:41 ~ops:200);
         ] );
-      ("schemes", List.map scheme_case (Opstream.tags ()));
+      ("schemes", List.map scheme_case (Index.Registry.tags ()));
       ( "self-test",
         [
           Alcotest.test_case "broken variant is caught and shrunk" `Quick

@@ -11,12 +11,6 @@ module Index = Pk_core.Index
 let key_len = 12
 let n_keys = 400
 
-let all_schemes () =
-  (* Force linkage of the self-registering scheme modules. *)
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
-  Index.Registry.all ()
-
 let entry = Alcotest.(pair Support.key_testable int)
 
 (* Build one index per registry scheme over a fresh env, remembering
@@ -40,7 +34,7 @@ let with_built f =
     (fun (info : Index.Registry.info) ->
       let ix, keys, rid_of = build info in
       f info.Index.Registry.tag ix keys rid_of)
-    (all_schemes ())
+    (Index.Registry.all ())
 
 (* The model answer for a cursor opened at [from]. *)
 let expect keys rid_of from =
@@ -77,7 +71,7 @@ let test_empty () =
       let seen = ref 0 in
       ix.Index.iter (fun ~key:_ ~rid:_ -> incr seen);
       Alcotest.(check int) (tag ^ ": iter on empty index") 0 !seen)
-    (all_schemes ())
+    (Index.Registry.all ())
 
 let test_past_ends () =
   with_built (fun tag ix keys rid_of ->

@@ -53,11 +53,11 @@ let expected =
     ("pkB-blocked", 503);
     ("pkT", 539);
     ("pkT-blocked", 539);
+    ("sharded:2/B+/prefix", 0);
+    ("sharded:4/pkB", 503);
   ]
 
 let test_expected_table_covers_registry () =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
   Alcotest.(check (list string))
     "expectation table covers exactly the registered schemes"
     (Index.Registry.tags ())
@@ -73,8 +73,6 @@ let deref_case (tag, want) =
           tag got want)
 
 let () =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
   if Option.is_some (Sys.getenv_opt "PK_DEREF_PRINT") then begin
     List.iter
       (fun tag -> Printf.printf "    (%S, %d);\n" tag (measure tag))

@@ -43,13 +43,13 @@ let test_variable_length () =
 
 let test_tag () =
   let mem, records = Support.make_env () in
-  let ix = Hybrid.make ~key_len:(Some 8) Index.B_tree mem records in
+  let ix = Index.make_hybrid ~key_len:(Some 8) Index.B_tree mem records in
   Alcotest.(check string) "direct-side tag" "hybrid(B/direct8)" ix.Index.tag;
   let mem, records = Support.make_env () in
-  let ix = Hybrid.make ~key_len:(Some 9) Index.T_tree mem records in
+  let ix = Index.make_hybrid ~key_len:(Some 9) Index.T_tree mem records in
   Alcotest.(check string) "partial-side tag" "hybrid(T/pk-byte-l2)" ix.Index.tag;
   let mem, records = Support.make_env () in
-  let ix = Hybrid.make ~key_len:None Index.B_tree mem records in
+  let ix = Index.make_hybrid ~key_len:None Index.B_tree mem records in
   Alcotest.(check string) "variable-length tag" "hybrid(B/pk-byte-l2)" ix.Index.tag
 
 (* {2 Round trips through both chosen schemes} *)
@@ -59,13 +59,12 @@ let test_tag () =
 let round_trip key_len () =
   Support.conformance_run
     ~make_index:(fun mem records ->
-      Hybrid.make ~key_len:(Some key_len) Index.B_tree mem records)
+      Index.make_hybrid ~key_len:(Some key_len) Index.B_tree mem records)
     ~key_len ~alphabet:16 ~n_keys:150 ~n_ops:600 ~seed:(1000 + key_len) ()
 
 (* {2 The registry entry} *)
 
 let test_registry () =
-  Hybrid.ensure_registered ();
   let info = Index.Registry.get "hybrid" in
   Alcotest.(check string) "structure" "B" info.Index.Registry.structure;
   Alcotest.(check (option int))

@@ -11,7 +11,6 @@ module Machine = Pk_cachesim.Machine
 module Record_store = Pk_records.Record_store
 module Layout = Pk_core.Layout
 module Index = Pk_core.Index
-module Hybrid = Pk_core.Hybrid
 
 let build_all ~key_len ~alphabet ~n ~seed =
   let cache = Cachesim.create (Machine.to_config Machine.ultra30) in
@@ -124,9 +123,9 @@ let test_hybrid_dispatch () =
     let mem = Mem.create ~cache () in
     (mem, Record_store.create mem)
   in
-  let small = Hybrid.make ~key_len:(Some 8) Index.B_tree mem records in
-  let large = Hybrid.make ~key_len:(Some 28) Index.B_tree mem records in
-  let var = Hybrid.make ~key_len:None Index.B_tree mem records in
+  let small = Index.make_hybrid ~key_len:(Some 8) Index.B_tree mem records in
+  let large = Index.make_hybrid ~key_len:(Some 28) Index.B_tree mem records in
+  let var = Index.make_hybrid ~key_len:None Index.B_tree mem records in
   Alcotest.(check string) "small keys direct" "hybrid(B/direct8)" small.Index.tag;
   Alcotest.(check string) "large keys partial" "hybrid(B/pk-byte-l2)" large.Index.tag;
   Alcotest.(check string) "variable keys partial" "hybrid(B/pk-byte-l2)" var.Index.tag;

@@ -323,9 +323,6 @@ let test_rebuild_from_buffer () =
   ix.Index.validate ()
 
 let () =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
-  Pk_shard.Shard.ensure_registered ();
   let tags = Index.Registry.tags () in
   Alcotest.run "keysort"
     [

@@ -254,8 +254,6 @@ let check_parity (name, make) seed =
         !planned
 
 let test_registry_blocked_tags () =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
   List.iter
     (fun tag ->
       Alcotest.(check bool) (tag ^ " registered") true (List.mem tag (Index.Registry.tags ()));

@@ -9,18 +9,12 @@ module Mem = Pk_mem.Mem
 module Record_store = Pk_records.Record_store
 module Index = Pk_core.Index
 module Obs = Pk_obs.Obs
-module Shard = Pk_shard.Shard
-
-let all_tags () =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
-  Pk_shard.Shard.ensure_registered ();
-  Index.Registry.tags ()
+module Shard = Pk_core.Shard
 
 let flat_tags () =
   List.filter
     (fun tag -> not (String.length tag >= 8 && String.sub tag 0 8 = "sharded:"))
-    (all_tags ())
+    (Index.Registry.tags ())
 
 let key_len = 10
 let alphabet = 6
@@ -196,7 +190,7 @@ let conformance_cases () =
             ~key_len ~alphabet ~n_keys:260 ~n_ops:1300 ~seed:23 ()))
     (List.filter
        (fun tag -> String.length tag >= 8 && String.sub tag 0 8 = "sharded:")
-       (all_tags ()))
+       (Index.Registry.tags ()))
 
 (* {2 Optimistic validated reads} *)
 
@@ -390,7 +384,7 @@ let test_concurrent_readers () =
   Alcotest.(check int) "final count" (Array.length keys) (ops.Index.count ())
 
 let () =
-  Alcotest.run "pk_shard"
+  Alcotest.run "shard"
     [
       ("partition", [ Alcotest.test_case "routing" `Quick test_partition ]);
       ("equivalence", equivalence_cases ());

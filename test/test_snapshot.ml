@@ -10,11 +10,6 @@ module Layout = Pk_core.Layout
 module Index = Pk_core.Index
 module Record_store = Pk_records.Record_store
 
-let all_tags () =
-  Pk_core.Hybrid.ensure_registered ();
-  Pk_core.Variants.ensure_registered ();
-  Index.Registry.tags ()
-
 (* {2 Mem-level views: COW accounting and lifecycle} *)
 
 let test_mem_view () =
@@ -215,7 +210,7 @@ let test_isolation () =
       Alcotest.(check int)
         (tag ^ ": live count") (n - ((n + 2) / 3) + Array.length fresh)
         (ix.Index.count ()))
-    (all_tags ())
+    (Index.Registry.tags ())
 
 (* {2 Zero-allocation contract on the snapshot read path} *)
 
