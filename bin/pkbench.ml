@@ -23,6 +23,30 @@ let scheme_tag =
         | exception Invalid_argument msg -> Error msg),
       Format.pp_print_string )
 
+(* A comma-separated tag list in [--schemes] or [$PK_SCHEMES], every
+   tag checked the same way; the empty string keeps the default (every
+   registered scheme), as the experiments read it. *)
+let scheme_list =
+  Arg.conv'
+    ( (fun tags ->
+        if tags = "" then Ok []
+        else
+          let tags = String.split_on_char ',' tags in
+          match List.iter (fun tag -> ignore (Pk_core.Index.Registry.get tag)) tags with
+          | () -> Ok tags
+          | exception Invalid_argument msg -> Error msg),
+      fun ppf tags -> Format.pp_print_string ppf (String.concat "," tags) )
+
+(* A machine preset name in [--machine] or [$PK_MACHINE], checked
+   against the presets while parsing; the empty string keeps the
+   default. *)
+let machine_name =
+  Arg.conv'
+    ( (fun name ->
+        if name = "" then Ok name
+        else Result.map (fun _ -> name) (Pk_cachesim.Machine.of_name name)),
+      Format.pp_print_string )
+
 let list_cmd =
   let run () =
     register_all ();
@@ -70,10 +94,23 @@ let fill_arg =
   Arg.(value & opt (some float) None & info [ "fill" ] ~docv:"F" ~doc:"Bulk-load fill factor for a9, clamped to [0.5, 1.0] (default 1.0).")
 
 let schemes_arg =
-  Arg.(value & opt (some (list scheme_tag)) None & info [ "schemes" ] ~docv:"TAGS" ~doc:"Comma-separated registry scheme tags for a9 (see list-schemes; default: every registered scheme).")
+  Arg.(
+    value
+    & opt (some scheme_list) None
+    & info [ "schemes" ] ~env:(Cmd.Env.info "PK_SCHEMES") ~docv:"TAGS"
+        ~doc:
+          "Comma-separated registry scheme tags for a9 (see list-schemes; default: every \
+           registered scheme).  An unknown tag, here or in $(env), is a usage error.")
 
 let machine_arg =
-  Arg.(value & opt (some string) None & info [ "machine" ] ~docv:"NAME" ~doc:"Simulated machine preset: ultra30 (default), ultra60, pentium3, pentium3e or modern (3-level hierarchy).  a10 sweeps its own preset list unless this is given.")
+  Arg.(
+    value
+    & opt (some machine_name) None
+    & info [ "machine" ] ~env:(Cmd.Env.info "PK_MACHINE") ~docv:"NAME"
+        ~doc:
+          "Simulated machine preset: ultra30 (default), ultra60, pentium3, pentium3e or modern \
+           (3-level hierarchy).  a10 sweeps its own preset list unless this is given.  An \
+           unknown name, here or in $(env), is a usage error.")
 
 let ids_arg = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
 

@@ -42,12 +42,7 @@ let parse_scheme s ~key_len =
           | _ -> Error (`Msg "scheme: expected pk-(bit|byte)-<l>"))
       | _ -> Error (`Msg "scheme: expected direct | indirect | pk-(bit|byte)-<l>"))
 
-let run structure scheme keys key_len entropy machine node_blocks lookups validate =
-  let machine =
-    match Machine.by_name machine with
-    | Some m -> m
-    | None -> failwith ("unknown machine " ^ machine)
-  in
+let run structure scheme keys key_len entropy (machine : Machine.t) node_blocks lookups validate =
   let structure =
     match String.lowercase_ascii structure with
     | "b" | "btree" | "b-tree" -> Index.B_tree
@@ -255,7 +250,17 @@ let () =
     Arg.(value & opt float 3.6 & info [ "entropy" ] ~docv:"H" ~doc:"Bits of entropy per key byte.")
   in
   let machine =
-    Arg.(value & opt string "ultra30" & info [ "machine" ] ~docv:"M" ~doc:"Simulated machine (Table 2).")
+    (* Checked while parsing: an unknown preset is a usage error
+       listing the valid ones. *)
+    let short_name m =
+      List.find
+        (fun n -> match Machine.by_name n with Some p -> p == m | None -> false)
+        Machine.preset_names
+    in
+    let preset = Arg.conv' (Machine.of_name, fun ppf m -> Format.pp_print_string ppf (short_name m)) in
+    Arg.(
+      value & opt preset Machine.ultra30
+      & info [ "machine" ] ~docv:"M" ~doc:"Simulated machine preset (Table 2, or modern).")
   in
   let node_blocks =
     Arg.(value & opt int 3 & info [ "node-blocks" ] ~docv:"N" ~doc:"Node size in L2 blocks.")

@@ -105,6 +105,15 @@ let by_name s =
       || (String.equal target "modern" && m == modern))
     named
 
+let preset_names = [ "ultra30"; "ultra60"; "pentium3"; "pentium3e"; "modern" ]
+
+let of_name s =
+  match by_name s with
+  | Some m -> Ok m
+  | None ->
+      Error
+        (Printf.sprintf "unknown machine %S; valid: %s" s (String.concat ", " preset_names))
+
 let to_config ?tlb m : Cachesim.config =
   let levels = match m.l3 with None -> [ m.l1; m.l2 ] | Some l3 -> [ m.l1; m.l2; l3 ] in
   { levels; dram_ns = m.dram_ns; tlb }

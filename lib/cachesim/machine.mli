@@ -35,6 +35,13 @@ val all : t list
 val by_name : string -> t option
 (** Case-insensitive lookup, e.g. ["ultra30"] or ["modern"]. *)
 
+val preset_names : string list
+(** The short names {!val:by_name} accepts for every preset. *)
+
+val of_name : string -> (t, string) result
+(** {!val:by_name} with an error message naming the valid presets, for
+    command lines and environment variables. *)
+
 val to_config : ?tlb:Cachesim.tlb_config -> t -> Cachesim.config
 (** Build a simulator configuration: [\[l1; l2\]] (plus [l3] when
     present) with DRAM latency and an optional TLB. *)

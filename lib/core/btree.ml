@@ -32,7 +32,6 @@ type t = {
   mutable tree_height : int;
   mutable n_nodes : int;
   mutable n_keys : int;
-  mutable bops : Node_search.entry_ops option;
   mutable router : Group.router option;
 }
 
@@ -69,7 +68,6 @@ let create mem records cfg =
     tree_height = 0;
     n_nodes = 0;
     n_keys = 0;
-    bops = None;
     router = None;
   }
 
@@ -282,23 +280,12 @@ let insert t key ~rid =
    FINDBTREE (Fig. 8) is the engine's descent ({!module:Engine.Group}):
    a batch is sorted and descended as contiguous per-child runs, a
    single key as a one-probe batch; the router below supplies only the
-   per-probe in-node resolution.  For the direct and indirect schemes
-   everything is sign-only comparisons ({!val:Mem.compare_sign}) — a
-   steady-state batch performs no heap allocation per probe.  The
-   partial-key path reuses one mutable {!type:Node_search.entry_ops}
-   re-aimed at each (node, probe); only FINDNODE's result records and
-   comparison pairs are allocated. *)
-
-(* One entry_ops per tree, re-aimed via the scratch cursor. *)
-let batch_ops t =
-  match t.bops with
-  | Some ops -> ops
-  | None ->
-      let ops = Entries.make_ops t.ec t.sc ~shift:0 in
-      t.bops <- Some ops;
-      ops
-
-let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
+   per-probe in-node resolution.  Every scheme's hooks are
+   allocation-free: the direct and indirect schemes use sign-only
+   comparisons ({!val:Mem.compare_sign}); the partial-key path reuses
+   one mutable {!type:Node_search.entry_ops} re-aimed at each
+   (node, probe), whose int fields receive FINDNODE's result, and every
+   comparison returns a packed int. *)
 
 (* Binary search for [probe]; [lnot pos] (negative) encodes an exact
    match at [pos], a non-negative result is the child slot. *)
@@ -310,6 +297,39 @@ let[@pklint.hot] rec plain_locate t node probe lo hi =
     if c = 0 then lnot mid
     else if c < 0 then plain_locate t node probe lo mid
     else plain_locate t node probe (mid + 1) hi
+
+(* Re-aim the shared ops at (node, probe) and run FINDNODE from the
+   probe's accumulated descent state; the result lands in [ops]. *)
+let[@pklint.hot] pk_find t (ops : Node_search.entry_ops) node n slot =
+  let sc = t.sc in
+  let key = sc.Scratch.keys.(slot) in
+  sc.Scratch.node <- node;
+  (* A probe keeps its key all the way down: one write barrier per
+     descent, not per node. *)
+  if sc.Scratch.probe != key then sc.Scratch.probe <- key;
+  ops.num_keys <- n;
+  let rel0 = sc.Scratch.rel.(slot) and off0 = sc.Scratch.off.(slot) in
+  if t.cfg.naive_search then Node_search.naive_find_node ops ~rel0 ~off0
+  else Node_search.find_node ops ~rel0 ~off0
+
+let[@pklint.hot] pk_route t (ops : Node_search.entry_ops) node n slot =
+  pk_find t ops node n slot;
+  let sc = t.sc in
+  if ops.low = ops.high then begin
+    sc.Scratch.out.(slot) <- rec_ptr t node ops.low;
+    -1
+  end
+  else begin
+    (* FINDBTREE child-state update (Fig. 8). *)
+    if ops.low <> -1 then sc.Scratch.rel.(slot) <- Key.Gt;
+    sc.Scratch.off.(slot) <- ops.off_low;
+    route_ev t node ops.high;
+    child t node ops.high
+  end
+
+let[@pklint.hot] pk_leaf_probe t (ops : Node_search.entry_ops) node n slot =
+  pk_find t ops node n slot;
+  t.sc.Scratch.out.(slot) <- (if ops.low = ops.high then rec_ptr t node ops.low else -1)
 
 let router t =
   match t.router with
@@ -344,38 +364,11 @@ let router t =
                 let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
                 sc.Scratch.out.(slot) <- (if r < 0 then rec_ptr t node (lnot r) else -1))
         | Layout.Partial _ ->
-            let find = find_fn t in
-            let ops = batch_ops t in
-            (* Re-aim the shared ops at (node, probe) and run FINDNODE
-               from the probe's accumulated descent state. *)
-            let resolve node n slot =
-              let key = sc.Scratch.keys.(slot) in
-              sc.Scratch.node <- node;
-              (* A probe keeps its key all the way down: one write
-                 barrier per descent, not per node. *)
-              if sc.Scratch.probe != key then sc.Scratch.probe <- key;
-              ops.Node_search.num_keys <- n;
-              find ops ~rel0:sc.Scratch.rel.(slot) ~off0:sc.Scratch.off.(slot)
-            in
+            (* One entry_ops per tree, re-aimed via the scratch cursor. *)
+            let ops = Entries.make_ops t.ec sc ~shift:0 in
             common
-              (fun node n slot ->
-                let r = resolve node n slot in
-                if r.Node_search.low = r.Node_search.high then begin
-                  sc.Scratch.out.(slot) <- rec_ptr t node r.Node_search.low;
-                  -1
-                end
-                else begin
-                  (* FINDBTREE child-state update (Fig. 8). *)
-                  if r.Node_search.low <> -1 then sc.Scratch.rel.(slot) <- Key.Gt;
-                  sc.Scratch.off.(slot) <- r.Node_search.off_low;
-                  route_ev t node r.Node_search.high;
-                  child t node r.Node_search.high
-                end)
-              (fun node n slot ->
-                let r = resolve node n slot in
-                sc.Scratch.out.(slot) <-
-                  (if r.Node_search.low = r.Node_search.high then rec_ptr t node r.Node_search.low
-                   else -1))
+              (fun node n slot -> pk_route t ops node n slot)
+              (fun node n slot -> pk_leaf_probe t ops node n slot)
       in
       t.router <- Some r;
       r
@@ -849,7 +842,6 @@ module Structure = struct
         Entries.make ~name:"Btree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
           (Counters.create ());
       sc = Scratch.create ();
-      bops = None;
       router = None;
     }
 

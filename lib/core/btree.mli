@@ -70,8 +70,8 @@ val lookup_into : t -> Pk_keys.Key.t array -> int array -> unit
     batch partitioned across children, so each node is touched once
     per batch.  [out.(i)] receives the record address of [keys.(i)],
     or [-1] when absent; [out] must be at least as long as [keys].
-    Steady-state calls perform no per-probe heap allocation for the
-    [Direct]/[Indirect] schemes.  Counter semantics are preserved:
+    Steady-state calls perform no per-probe heap allocation under any
+    scheme.  Counter semantics are preserved:
     dereference counts equal the sum over probes of the single-lookup
     cost, node visits are counted once per (node, batch).  A one-key
     batch skips the sort and descends its probe alone. *)

@@ -184,9 +184,9 @@ module Scratch = struct
       sc.la <- Array.make cap 0
     end;
     for i = 0 to n - 1 do
-      let rel, off = Partial_key.initial_state g keys.(i) in
-      sc.rel.(i) <- rel;
-      sc.off.(i) <- off
+      let p = Partial_key.initial_state g keys.(i) in
+      sc.rel.(i) <- Key.packed_cmp p;
+      sc.off.(i) <- Key.packed_off p
     done
 end
 
@@ -226,10 +226,16 @@ module Entries = struct
     esz : int;
     entries_at : int;  (* offset of the entry array within a node *)
     cnt : Counters.t;
+    units : bytes;  (* l_bytes window the lookup path reads stored units into *)
   }
 
   let make ~name ~reg ~records ~scheme ~entries_at cnt =
-    { name; reg; records; scheme; esz = Layout.entry_size scheme; entries_at; cnt }
+    let units =
+      match scheme with
+      | Layout.Partial { l_bytes; _ } -> Bytes.create l_bytes
+      | Layout.Direct _ | Layout.Indirect -> Bytes.empty
+    in
+    { name; reg; records; scheme; esz = Layout.entry_size scheme; entries_at; cnt; units }
 
   let entry_addr c node i = node + c.entries_at + (i * c.esz)
   let rec_ptr c node i = Layout.rec_ptr c.reg (entry_addr c node i)
@@ -333,16 +339,14 @@ module Entries = struct
     else (Char.code (Bytes.get k (i lsr 3)) lsr (7 - (i land 7))) land 1
 
   (* Full comparison of the search key against entry [i]'s record key:
-     (c(search, key_i), d) in the scheme's granularity units. *)
-  let deref_entry c node search i =
+     (c(search, key_i), d) in the scheme's granularity units, packed. *)
+  let[@pklint.hot] deref_entry c node search i =
     Counters.deref c.cnt node i;
     let rid = rec_ptr c node i in
-    let r, d =
-      match granularity c with
+    Key.packed_flip
+      (match granularity c with
       | Partial_key.Bit -> Record_store.compare_key_bits c.records rid search
-      | Partial_key.Byte -> Record_store.compare_key c.records rid search
-    in
-    (Key.flip r, d)
+      | Partial_key.Byte -> Record_store.compare_key c.records rid search)
 
   (* Sign of c(probe, entry i), allocation-free (plain schemes only). *)
   let[@pklint.hot] probe_sign c node probe i =
@@ -359,51 +363,47 @@ module Entries = struct
   (* FINDNODE entry_ops aimed through the scratch's (node, probe)
      cursor: one ops record per tree, re-aimed at each (node, probe)
      instead of rebuilt. *)
-  let make_ops c (sc : Scratch.t) ~shift : Node_search.entry_ops =
+  let make_ops c (sc : Scratch.t) ~shift =
     let g = granularity c in
-    {
-      Node_search.num_keys = 0 (* patched per node by the caller *);
-      pk_off = (fun i -> Layout.read_pk_off c.reg (entry_addr c sc.node (i + shift)));
-      resolve_units =
-        (fun i ~rel ~off ->
-          Layout.resolve_pk_units c.reg
-            (entry_addr c sc.node (i + shift))
-            ~scheme_granularity:g ~search:sc.probe ~rel ~off);
-      branch_unit =
-        (fun i ->
-          match g with
-          | Partial_key.Bit -> 1
-          | Partial_key.Byte -> Layout.read_pk_first_byte c.reg (entry_addr c sc.node (i + shift)));
-      search_unit =
-        (fun u ->
-          match g with
-          | Partial_key.Bit -> bit_or_zero sc.probe u
-          | Partial_key.Byte -> byte_or_zero sc.probe u);
-      deref = (fun i -> deref_entry c sc.node sc.probe (i + shift));
-    }
+    Node_search.make
+      ~pk_off:(fun i -> Layout.read_pk_off c.reg (entry_addr c sc.node (i + shift)))
+      ~resolve_units:(fun i ~rel ~off ->
+        Layout.resolve_pk_units c.reg
+          (entry_addr c sc.node (i + shift))
+          ~scheme_granularity:g ~units:c.units ~search:sc.probe ~rel ~off)
+      ~branch_unit:(fun i ->
+        match g with
+        | Partial_key.Bit -> 1
+        | Partial_key.Byte -> Layout.read_pk_first_byte c.reg (entry_addr c sc.node (i + shift)))
+      ~search_unit:(fun u ->
+        match g with
+        | Partial_key.Bit -> bit_or_zero sc.probe u
+        | Partial_key.Byte -> byte_or_zero sc.probe u)
+      ~deref:(fun i -> deref_entry c sc.node sc.probe (i + shift))
 
   (* Partial-key comparison of [search] against entry 0 — FINDTTREE's
-     per-level step.  Offset-only resolution first (the common case
-     touches just the pk_off field), units next, one dereference on
-     partial-key equality. *)
-  let head_pk_cmp c node search ~rel ~off =
+     per-level step, packed.  Offset-only resolution first (the common
+     case touches just the pk_off field), units next, one dereference
+     on partial-key equality. *)
+  let[@pklint.hot] head_pk_cmp c node search ~rel ~off =
     let a0 = entry_addr c node 0 in
-    let r, o =
-      match Pk_compare.resolve_by_offset ~rel ~off ~pk_off:(Layout.read_pk_off c.reg a0) with
-      | Pk_compare.Resolved (r, o) -> (r, o)
-      | Pk_compare.Need_units ->
-          Layout.resolve_pk_units c.reg a0 ~scheme_granularity:(granularity c) ~search ~rel ~off
+    let p = Pk_compare.resolve_by_offset ~rel ~off ~pk_off:(Layout.read_pk_off c.reg a0) in
+    let p =
+      if p <> Pk_compare.need_units then p
+      else
+        Layout.resolve_pk_units c.reg a0 ~scheme_granularity:(granularity c) ~units:c.units
+          ~search ~rel ~off
     in
-    match r with
+    match Key.packed_cmp p with
     | Key.Eq ->
         Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_eq node 0;
         deref_entry c node search 0
     | Key.Lt ->
-        Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_lt node o;
-        (r, o)
+        Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_lt node (Key.packed_off p);
+        p
     | Key.Gt ->
-        Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_gt node o;
-        (r, o)
+        Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_gt node (Key.packed_off p);
+        p
 end
 
 (* {2 Group descent over child-partitioned trees}

@@ -125,6 +125,10 @@ module Entries : sig
     esz : int;
     entries_at : int;
     cnt : Counters.t;
+    units : bytes;
+        (** [l_bytes]-long window FINDNODE reads an entry's stored
+            units into ({!Layout.resolve_pk_units}); empty for the
+            plain schemes. *)
   }
 
   val make :
@@ -160,9 +164,9 @@ module Entries : sig
   val byte_or_zero : Key.t -> int -> int
   val bit_or_zero : Key.t -> int -> int
 
-  val deref_entry : ctx -> int -> Key.t -> int -> Key.cmp * int
-  (** Full comparison of the search key against entry [i]'s record key;
-      counts one dereference. *)
+  val deref_entry : ctx -> int -> Key.t -> int -> int
+  (** Full comparison of the search key against entry [i]'s record key,
+      packed ({!Key.pack}); counts one dereference.  Allocation-free. *)
 
   val probe_sign : ctx -> int -> Key.t -> int -> int
   (** Sign of [c(probe, entry i)], allocation-free.  Plain schemes
@@ -174,10 +178,11 @@ module Entries : sig
       instead of rebuilding.  [num_keys] starts at 0 and is patched per
       node. *)
 
-  val head_pk_cmp : ctx -> int -> Key.t -> rel:Key.cmp -> off:int -> Key.cmp * int
+  val head_pk_cmp : ctx -> int -> Key.t -> rel:Key.cmp -> off:int -> int
   (** Partial-key comparison of the search key against entry 0 —
       FINDTTREE's per-level step (offset-only resolution, then units,
-      then one dereference on partial-key equality). *)
+      then one dereference on partial-key equality), packed.
+      Allocation-free. *)
 end
 
 (** Group descent over child-partitioned trees (B-tree, prefix

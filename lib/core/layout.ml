@@ -32,13 +32,6 @@ let read_direct_key reg a ~key_len = Mem.read_bytes reg ~off:(a + 8) ~len:key_le
 let[@pklint.guarded] write_direct_key reg a key =
   Mem.write_bytes reg ~off:(a + 8) ~src:key ~src_off:0 ~len:(Bytes.length key)
 
-let compare_direct reg a ~key_len probe =
-  let c, d =
-    Mem.compare_detail reg ~off:(a + 8) ~len:key_len probe ~key_off:0
-      ~key_len:(Bytes.length probe)
-  in
-  (Key.cmp_of_int c, d)
-
 (* Partial entry field offsets (relative to the entry address). *)
 let pk_off_at = 8
 let pk_len_at = 10
@@ -75,13 +68,15 @@ let[@pklint.guarded] write_pk reg a ~l_bytes (pk : Partial_key.t) =
   let live = Bytes.length pk.pk_bits in
   if live > 0 then Mem.write_bytes reg ~off:(a + pk_bits_at) ~src:pk.pk_bits ~src_off:0 ~len:live
 
-let resolve_pk_units reg a ~scheme_granularity ~search ~rel ~off =
+(* The stored units are copied into the caller's reusable [units]
+   buffer with one [read_into] — one "mem.read" fault point and one
+   charge of the whole window, exactly like the [read_bytes] it
+   replaces — and compared there: no fresh bytes per comparison. *)
+let[@pklint.hot] resolve_pk_units reg a ~scheme_granularity ~units ~search ~rel ~off =
   let pk_len = read_pk_len reg a in
   let width = stored_width scheme_granularity pk_len in
-  let pk_bits =
-    if width = 0 then Bytes.empty else Mem.read_bytes reg ~off:(a + pk_bits_at) ~len:width
-  in
-  Pk_compare.resolve_by_units scheme_granularity ~search ~rel ~off ~pk_len ~pk_bits
+  if width > 0 then Mem.read_into reg ~off:(a + pk_bits_at) ~dst:units ~dst_off:0 ~len:width;
+  Pk_compare.resolve_by_units scheme_granularity ~search ~rel ~off ~pk_len ~pk_bits:units
 
 (* {1 Node-placement policies} — where bulk-built tree nodes land in
    the arena, FAST-style: cache-line blocks nested in page blocks

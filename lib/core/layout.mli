@@ -32,11 +32,6 @@ val set_rec_ptr : Pk_mem.Mem.region -> int -> int -> unit
 val read_direct_key : Pk_mem.Mem.region -> int -> key_len:int -> Pk_keys.Key.t
 val write_direct_key : Pk_mem.Mem.region -> int -> Pk_keys.Key.t -> unit
 
-val compare_direct :
-  Pk_mem.Mem.region -> int -> key_len:int -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
-(** [(c, d)] comparing the {e stored} key to the probe, byte detail;
-    charges only the examined prefix. *)
-
 (** {1 Partial entries} *)
 
 val read_pk :
@@ -57,12 +52,15 @@ val resolve_pk_units :
   Pk_mem.Mem.region ->
   int ->
   scheme_granularity:Pk_partialkey.Partial_key.granularity ->
+  units:bytes ->
   search:Pk_keys.Key.t ->
   rel:Pk_keys.Key.cmp ->
   off:int ->
-  Pk_keys.Key.cmp * int
-(** {!val:Pk_partialkey.Pk_compare.resolve_by_units} reading the stored
-    bits straight from the entry (charging them). *)
+  int
+(** {!val:Pk_partialkey.Pk_compare.resolve_by_units} over the entry's
+    stored units, packed.  The units are read into [units] (at least
+    [l_bytes] long, reused across calls) with one charged window read,
+    so the comparison allocates nothing. *)
 
 (** {1 Node-placement policies}
 

@@ -168,7 +168,7 @@ let read_entries t node =
 (* Compare the search key against the node prefix: [`Below] (search
    sorts before every key here), [`Above], or [`Within] (prefix
    matched; compare suffixes from [plen]). *)
-let compare_prefix t node search =
+let[@pklint.hot] compare_prefix t node search =
   let plen = prefix_len t node in
   if plen = 0 then `Within
   else
@@ -177,58 +177,57 @@ let compare_prefix t node search =
        (its tail is compared against suffixes); a shorter matching
        search key sorts before every full key (`Below` — the stored
        prefix is then the longer operand, so c > 0). *)
-    let c, _ =
-      Mem.compare_detail t.reg ~off:(node + t.node_bytes - plen) ~len:plen search ~key_off:0
-        ~key_len:(min (Bytes.length search) plen)
+    let c =
+      Mem.compare_sign t.reg ~off:(node + t.node_bytes - plen) ~len:plen search ~key_off:0
+        ~key_len:(if Bytes.length search < plen then Bytes.length search else plen)
     in
     if c > 0 then `Below else if c < 0 then `Above else `Within
 
-(* Compare search (from [plen]) with entry [i]'s suffix:
-   c(search, entry). *)
-let compare_suffix t node search ~plen i =
+(* Sign of c(search, entry [i]), comparing search (from [plen]) with
+   the entry's suffix. *)
+let[@pklint.hot] compare_suffix t node search ~plen i =
   let off = node + slot t node i + rec_overhead in
   let len = suffix_len t node i in
-  let c, _ =
-    Mem.compare_detail t.reg ~off ~len search ~key_off:plen
-      ~key_len:(max 0 (Bytes.length search - plen))
-  in
-  Key.flip (Key.cmp_of_int c)
+  -Mem.compare_sign t.reg ~off ~len search ~key_off:plen
+     ~key_len:(if Bytes.length search > plen then Bytes.length search - plen else 0)
 
-(* Position among entries: (first index whose key is > search, exact
-   match index option). *)
-let locate_in_node t node search =
+(* Binary search among entries [lo, hi) for [search]: the first index
+   whose key is > search, or [lnot i] (negative) when entry [i] equals
+   it. *)
+let[@pklint.hot] rec locate_in_node t node search ~plen lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    let c = compare_suffix t node search ~plen mid in
+    if c = 0 then lnot mid
+    else if c < 0 then locate_in_node t node search ~plen lo mid
+    else locate_in_node t node search ~plen (mid + 1) hi
+
+let[@pklint.hot] locate t node search =
   let plen = prefix_len t node in
   let n = num_keys t node in
-  let rec go lo hi found =
-    if lo >= hi then (lo, found)
-    else
-      let mid = (lo + hi) / 2 in
-      match compare_suffix t node search ~plen mid with
-      | Key.Eq -> (mid + 1, Some mid)
-      | Key.Lt -> go lo mid found
-      | Key.Gt -> go (mid + 1) hi found
-  in
-  go 0 n None
+  locate_in_node t node search ~plen 0 n
 
 (* Child index for a search key: 0 = leftmost ([link]), i > 0 =
    separator child [i - 1] — the rightmost separator <= search owns
    the subtree. *)
-let child_index t node search =
+let[@pklint.hot] child_index t node search =
   match compare_prefix t node search with
   | `Below -> 0
   | `Above -> num_keys t node
-  | `Within -> fst (locate_in_node t node search)
+  | `Within ->
+      let r = locate t node search in
+      if r < 0 then lnot r + 1 else r
 
 let child_at t node ci = if ci = 0 then link t node else rec_child t node (ci - 1)
 
 (* Resolve a search key inside a leaf: record address or -1. *)
-let leaf_find t node search =
+let[@pklint.hot] leaf_find t node search =
   match compare_prefix t node search with
   | `Below | `Above -> -1
-  | `Within -> (
-      match locate_in_node t node search with
-      | _, Some i -> rec_rid t node i
-      | _, None -> -1)
+  | `Within ->
+      let r = locate t node search in
+      if r < 0 then rec_rid t node (lnot r) else -1
 
 (* {2 Lookup hooks (group descent)}
 
@@ -743,10 +742,9 @@ let start_index t node from =
   match compare_prefix t node from with
   | `Below -> 0
   | `Above -> num_keys t node
-  | `Within -> (
-      match locate_in_node t node from with
-      | _, Some i -> i
-      | upper, None -> upper)
+  | `Within ->
+      let r = locate t node from in
+      if r < 0 then lnot r else r
 
 let max_separator_len t =
   let best = ref 0 in

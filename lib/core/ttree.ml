@@ -29,7 +29,6 @@ type t = {
   mutable root : int;
   mutable n_nodes : int;
   mutable n_keys : int;
-  mutable bops : Node_search.entry_ops option;
   mutable td : Tgroup.driver option;
 }
 
@@ -62,7 +61,6 @@ let create mem records cfg =
     root = null;
     n_nodes = 0;
     n_keys = 0;
-    bops = None;
     td = None;
   }
 
@@ -490,23 +488,11 @@ let delete t key =
    segments against the leftmost entry, and a single key is a one-probe
    batch.  Probes of one segment share their whole path, hence also the
    last-Gt-ancestor node — only the offset at that ancestor is
-   per-probe state.  As in {!module:Btree}, the direct/indirect path is
-   allocation-free (sign comparisons into the scratch arrays); the
-   partial path reuses one mutable shifted [entry_ops] for the final
-   in-ancestor search and allocates only comparison pairs. *)
-
-(* One shifted entry_ops per tree: FINDTTREE's final search runs over
-   entries [1..n) of the last Gt ancestor (its leftmost key is the
-   base), re-aimed via the scratch cursor. *)
-let batch_ops t =
-  match t.bops with
-  | Some ops -> ops
-  | None ->
-      let ops = Entries.make_ops t.ec t.sc ~shift:1 in
-      t.bops <- Some ops;
-      ops
-
-let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
+   per-probe state.  As in {!module:Btree}, every scheme's hooks are
+   allocation-free: sign comparisons into the scratch arrays for the
+   direct and indirect schemes; packed head comparisons and one
+   mutable shifted [entry_ops], whose int fields receive FINDNODE's
+   result, for the partial-key final in-ancestor search. *)
 
 (* Binary search among entries [lo, hi) of [node]; rid or -1. *)
 let[@pklint.hot] rec tresolve t node probe lo hi =
@@ -517,6 +503,44 @@ let[@pklint.hot] rec tresolve t node probe lo hi =
     if c = 0 then rec_ptr t node mid
     else if c < 0 then tresolve t node probe lo mid
     else tresolve t node probe (mid + 1) hi
+
+(* FINDTTREE's per-node step: compare against the leftmost entry and
+   advance the probe's (rel, off) state; the sign steers the descent. *)
+let[@pklint.hot] pk_classify t node slot =
+  let sc = t.sc in
+  let p =
+    Entries.head_pk_cmp t.ec node sc.Scratch.keys.(slot) ~rel:sc.Scratch.rel.(slot)
+      ~off:sc.Scratch.off.(slot)
+  in
+  match Key.packed_cmp p with
+  | Key.Eq ->
+      sc.Scratch.out.(slot) <- rec_ptr t node 0;
+      0
+  | Key.Lt ->
+      sc.Scratch.rel.(slot) <- Key.Lt;
+      sc.Scratch.off.(slot) <- Key.packed_off p;
+      -1
+  | Key.Gt ->
+      sc.Scratch.rel.(slot) <- Key.Gt;
+      sc.Scratch.off.(slot) <- Key.packed_off p;
+      sc.Scratch.la.(slot) <- Key.packed_off p;
+      1
+
+(* The final search over entries [1..n) of the last Gt ancestor [la]
+   (its leftmost key is the base), through the shifted [ops]. *)
+let[@pklint.hot] pk_final t (ops : Node_search.entry_ops) la slot =
+  let sc = t.sc in
+  if la = null then sc.Scratch.out.(slot) <- -1
+  else begin
+    let key = sc.Scratch.keys.(slot) in
+    sc.Scratch.node <- la;
+    if sc.Scratch.probe != key then sc.Scratch.probe <- key;
+    ops.num_keys <- num_keys t la - 1;
+    let off0 = sc.Scratch.la.(slot) in
+    if t.cfg.naive_search then Node_search.naive_find_node ops ~rel0:Key.Gt ~off0
+    else Node_search.find_node ops ~rel0:Key.Gt ~off0;
+    sc.Scratch.out.(slot) <- (if ops.low = ops.high then rec_ptr t la (ops.low + 1) else -1)
+  end
 
 let tdriver t =
   match t.td with
@@ -545,40 +569,12 @@ let tdriver t =
                 sc.Scratch.out.(slot) <-
                   (if la = null then -1 else tresolve t la sc.Scratch.keys.(slot) 1 (num_keys t la)))
         | Layout.Partial _ ->
-            let find = find_fn t in
-            let ops = batch_ops t in
+            (* One shifted entry_ops per tree, re-aimed via the scratch
+               cursor. *)
+            let ops = Entries.make_ops t.ec sc ~shift:1 in
             common
-              (fun node slot ->
-                let search = sc.Scratch.keys.(slot) in
-                let c, o =
-                  Entries.head_pk_cmp t.ec node search ~rel:sc.Scratch.rel.(slot)
-                    ~off:sc.Scratch.off.(slot)
-                in
-                match c with
-                | Key.Eq ->
-                    sc.Scratch.out.(slot) <- rec_ptr t node 0;
-                    0
-                | Key.Lt ->
-                    sc.Scratch.rel.(slot) <- Key.Lt;
-                    sc.Scratch.off.(slot) <- o;
-                    -1
-                | Key.Gt ->
-                    sc.Scratch.rel.(slot) <- Key.Gt;
-                    sc.Scratch.off.(slot) <- o;
-                    sc.Scratch.la.(slot) <- o;
-                    1)
-              (fun la slot ->
-                if la = null then sc.Scratch.out.(slot) <- -1
-                else begin
-                  sc.Scratch.node <- la;
-                  sc.Scratch.probe <- sc.Scratch.keys.(slot);
-                  ops.Node_search.num_keys <- num_keys t la - 1;
-                  let r = find ops ~rel0:Key.Gt ~off0:sc.Scratch.la.(slot) in
-                  sc.Scratch.out.(slot) <-
-                    (if r.Node_search.low = r.Node_search.high then
-                       rec_ptr t la (r.Node_search.low + 1)
-                     else -1)
-                end)
+              (fun node slot -> pk_classify t node slot)
+              (fun la slot -> pk_final t ops la slot)
       in
       t.td <- Some d;
       d
@@ -819,7 +815,6 @@ module Structure = struct
         Entries.make ~name:"Ttree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
           (Counters.create ());
       sc = Scratch.create ();
-      bops = None;
       td = None;
     }
 

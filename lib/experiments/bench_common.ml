@@ -25,13 +25,7 @@ let entropy_tag alphabet = Printf.sprintf "%.1f b/B" (Keygen.entropy_of_alphabet
 let machine_of_env () =
   match Sys.getenv_opt "PK_MACHINE" with
   | None | Some "" -> None
-  | Some name -> (
-      match Machine.by_name name with
-      | Some m -> Some m
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "unknown machine %S; valid: ultra30, ultra60, pentium3, pentium3e, modern" name))
+  | Some name -> ( match Machine.of_name name with Ok m -> Some m | Error msg -> invalid_arg msg)
 
 (* A built scheme ready for measurement. *)
 type built = {

@@ -41,12 +41,14 @@ let extract_bits k ~bit_off ~bit_len =
   done;
   out
 
-let compare_bits_at k ~bit_off ~packed ~bit_len =
-  let rec go i =
-    if i = bit_len then (0, bit_len)
-    else
-      let a = bit_or_zero k (bit_off + i) in
-      let b = bit_or_zero packed i in
-      if a <> b then ((if a < b then -1 else 1), i) else go (i + 1)
-  in
-  go 0
+let leading_zeros8 v = clz8.(v)
+
+let[@pklint.hot] rec bits_scan k bit_off packed bit_len i =
+  if i = bit_len then (bit_len lsl 2) lor 1
+  else
+    let a = bit_or_zero k (bit_off + i) in
+    let b = bit_or_zero packed i in
+    if a <> b then (i lsl 2) lor (if a < b then 0 else 2)
+    else bits_scan k bit_off packed bit_len (i + 1)
+
+let[@pklint.hot] compare_bits_at k ~bit_off ~packed ~bit_len = bits_scan k bit_off packed bit_len 0

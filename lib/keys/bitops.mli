@@ -21,11 +21,15 @@ val extract_bits : bytes -> bit_off:int -> bit_len:int -> bytes
     (left-aligned, zero-padded tail).  Bits beyond the end of [k] read
     as 0; [bit_len] may be 0. *)
 
-val compare_bits_at :
-  bytes -> bit_off:int -> packed:bytes -> bit_len:int -> int * int
+val leading_zeros8 : int -> int
+(** Leading zero bits of a byte value in [\[1, 255\]] (its first set
+    bit's offset, 0-7); 8 for 0. *)
+
+val compare_bits_at : bytes -> bit_off:int -> packed:bytes -> bit_len:int -> int
 (** [compare_bits_at k ~bit_off ~packed ~bit_len] compares the bit
     sequence of [k] starting at [bit_off] against the first [bit_len]
-    bits of the packed bit string, bit by bit.  Returns [(cmp, i)]:
+    bits of the packed bit string, bit by bit, without allocating.
+    Returns [(i lsl 2) lor (cmp + 1)] (the [Key.pack_sign] layout):
     [cmp] < 0, = 0, > 0, with [i] the index {e relative to [bit_off]} of
     the first differing bit ([= bit_len] when all [bit_len] bits agree,
     in which case [cmp = 0]).  Bits of [k] beyond its end read as 0. *)

@@ -5,6 +5,15 @@ let cmp_of_int n = if n < 0 then Lt else if n > 0 then Gt else Eq
 let int_of_cmp = function Lt -> -1 | Eq -> 0 | Gt -> 1
 let flip = function Lt -> Gt | Gt -> Lt | Eq -> Eq
 
+(* Packed [(cmp, off)]: [(off lsl 2) lor code], code Lt = 0, Eq = 1,
+   Gt = 2 — i.e. [sign + 1] in the low two bits. *)
+let[@inline] pack_sign s off = (off lsl 2) lor (s + 1)
+let[@inline] pack c off = (off lsl 2) lor (match c with Lt -> 0 | Eq -> 1 | Gt -> 2)
+let[@inline] packed_sign p = (p land 3) - 1
+let[@inline] packed_off p = p lsr 2
+let[@inline] packed_cmp p = match p land 3 with 0 -> Lt | 1 -> Eq | _ -> Gt
+let[@inline] packed_flip p = (p land lnot 3) lor (2 - (p land 3))
+
 let pp_cmp ppf c =
   Format.pp_print_string ppf (match c with Lt -> "LT" | Eq -> "EQ" | Gt -> "GT")
 

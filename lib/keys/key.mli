@@ -23,6 +23,24 @@ val int_of_cmp : cmp -> int
 val flip : cmp -> cmp
 (** [flip Lt = Gt], [flip Gt = Lt], [flip Eq = Eq]. *)
 
+(** {1 Packed comparison results}
+
+    A comparison outcome and its difference offset packed into one
+    immediate int, [(off lsl 2) lor code] with code [Lt = 0], [Eq = 1],
+    [Gt = 2] (the sign plus one), so the read path returns [(cmp, off)]
+    pairs without allocating.  Offsets are non-negative. *)
+
+val pack : cmp -> int -> int
+val pack_sign : int -> int -> int
+(** [pack_sign s off] packs a sign [s] in [{-1, 0, 1}]. *)
+
+val packed_cmp : int -> cmp
+val packed_sign : int -> int
+val packed_off : int -> int
+
+val packed_flip : int -> int
+(** The packed result with its ordering flipped, offset kept. *)
+
 val pp_cmp : Format.formatter -> cmp -> unit
 
 val length : t -> int

@@ -175,7 +175,7 @@ let read_bytes r ~off ~len =
       Arena.shadow_blit_to_bytes r.arena s ~src_off:off ~dst ~dst_off:0 ~len;
       dst
 
-let read_into r ~off ~dst ~dst_off ~len =
+let[@pklint.hot] read_into r ~off ~dst ~dst_off ~len =
   Fault.point "mem.read";
   charge r off len;
   match r.view with
@@ -195,25 +195,33 @@ let move r ~src_off ~dst_off ~len =
   charge r dst_off len;
   Arena.blit_within r.arena ~src_off ~dst_off ~len
 
-let compare_detail r ~off ~len probe ~key_off ~key_len =
-  Fault.point "mem.read";
-  let common = min len key_len in
-  let rec scan i =
-    if i >= common then
-      if len = key_len then (0, common) else if len < key_len then (-1, common) else (1, common)
-    else
-      let a = view_get_u8 r (off + i) in
-      let b = Char.code (Bytes.get probe (key_off + i)) in
-      if a <> b then ((if a < b then -1 else 1), i) else scan (i + 1)
-  in
-  let ((_, diff) as result) = scan 0 in
-  let examined = min (diff + 1) common in
-  if examined > 0 then charge r off examined;
-  result
+(* [Stdlib.min] is polymorphic: without flambda each call is a call
+   into the generic comparison.  The comparisons below run on every
+   lookup, so they take the int minimum inline. *)
+let[@inline] imin (a : int) b = if a < b then a else b
 
 (* Top-level recursion (not an inner [let rec]) so no closure is
-   allocated: [compare_sign] is the batched descent's hot path and must
-   not touch the OCaml heap. *)
+   allocated: the comparison is on every lookup's hot path and must not
+   touch the OCaml heap.  Returns the packed [(diff lsl 2) lor (sign + 1)]. *)
+let[@pklint.hot] rec detail_scan r off (len : int) probe key_off (key_len : int) common i =
+  if i >= common then
+    (common lsl 2) lor (if len = key_len then 1 else if len < key_len then 0 else 2)
+  else
+    let a = view_get_u8 r (off + i) in
+    let b = Char.code (Bytes.get probe (key_off + i)) in
+    if a <> b then (i lsl 2) lor (if a < b then 0 else 2)
+    else detail_scan r off len probe key_off key_len common (i + 1)
+
+let[@pklint.hot] compare_detail r ~off ~len probe ~key_off ~key_len =
+  Fault.point "mem.read";
+  let common = imin len key_len in
+  let p = detail_scan r off len probe key_off key_len common 0 in
+  let examined = imin ((p lsr 2) + 1) common in
+  if examined > 0 then charge r off examined;
+  p
+
+(* The sign-only scan the direct and indirect lookups run: it charges
+   as it returns, sparing them [compare_detail]'s packing. *)
 let[@pklint.hot] rec sign_scan r off (len : int) probe key_off (key_len : int) common i =
   if i >= common then begin
     if common > 0 then charge r off common;
@@ -230,6 +238,6 @@ let[@pklint.hot] rec sign_scan r off (len : int) probe key_off (key_len : int) c
 
 let[@pklint.hot] compare_sign r ~off ~len probe ~key_off ~key_len =
   Fault.point "mem.read";
-  sign_scan r off len probe key_off key_len (min len key_len) 0
+  sign_scan r off len probe key_off key_len (imin len key_len) 0
 
 let touch r ~off ~len = charge r off len

@@ -122,22 +122,21 @@ val move : region -> src_off:int -> dst_off:int -> len:int -> unit
     charges both source and destination ranges. *)
 
 val compare_detail :
-  region -> off:int -> len:int -> bytes -> key_off:int -> key_len:int -> int * int
+  region -> off:int -> len:int -> bytes -> key_off:int -> key_len:int -> int
 (** [compare_detail r ~off ~len probe ~key_off ~key_len] compares the
     region bytes [\[off, off+len)] with [probe\[key_off, key_off+key_len)]
     lexicographically (shorter operand that is a prefix of the longer
-    compares smaller).  Returns [(cmp, diff)] where [cmp] is
-    negative/zero/positive and [diff] is the index of the first
-    differing byte ([= min len key_len] when one operand is a prefix).
-    Charges exactly the prefix of region bytes examined — matching a
-    real memcmp's memory traffic. *)
+    compares smaller).  Returns [(diff lsl 2) lor (cmp + 1)] — the
+    layout of [Pk_keys.Key.pack_sign] — where [cmp] is -1/0/1 and
+    [diff] is the index of the first differing byte ([= min len
+    key_len] when one operand is a prefix).  Never allocates; fires one
+    ["mem.read"] fault point and charges exactly the prefix of region
+    bytes examined — matching a real memcmp's memory traffic. *)
 
 val compare_sign :
   region -> off:int -> len:int -> bytes -> key_off:int -> key_len:int -> int
-(** Like {!val:compare_detail} but returns only the comparison sign and
-    never allocates (no result tuple) — the building block of the
-    allocation-free batched lookup path.  Fires the same ["mem.read"]
-    fault point and charges the same examined prefix. *)
+(** The sign (-1/0/1) of {!val:compare_detail}, with the same fault
+    point and charge; the direct and indirect schemes' comparison. *)
 
 val touch : region -> off:int -> len:int -> unit
 (** Explicitly charge a byte range (e.g. one logical field group read

@@ -48,20 +48,18 @@ let encode_initial g ~l_bytes ~key =
     { pk_off = units_of_key g key; pk_len = 0; pk_bits = Bytes.empty }
   else encode g ~l_bytes ~base:(zero_key_like key) ~key
 
-let initial_state g k =
+let[@pklint.hot] rec first_nonzero k i =
+  if i = Bytes.length k || Bytes.get k i <> '\000' then i else first_nonzero k (i + 1)
+
+let[@pklint.hot] initial_state g k =
   (* d(k, 0...0) is the offset of the first nonzero unit — computed by
      direct scan (this runs once per lookup). *)
-  let len = Bytes.length k in
-  let rec first_nonzero i = if i = len || Bytes.get k i <> '\000' then i else first_nonzero (i + 1) in
-  let i = first_nonzero 0 in
-  if i = len then (Key.Eq, units_of_key g k)
+  let i = first_nonzero k 0 in
+  if i = Bytes.length k then Key.pack_sign 0 (units_of_key g k)
   else
     match g with
-    | Byte -> (Key.Gt, i)
-    | Bit ->
-        let b = Char.code (Bytes.get k i) in
-        let rec clz n bit = if bit land b <> 0 then n else clz (n + 1) (bit lsr 1) in
-        (Key.Gt, (8 * i) + clz 0 0x80)
+    | Byte -> Key.pack_sign 1 i
+    | Bit -> Key.pack_sign 1 ((8 * i) + Bitops.leading_zeros8 (Char.code (Bytes.get k i)))
 
 let reconstructed_prefix_units g t =
   match g with Bit -> t.pk_off + 1 + t.pk_len | Byte -> t.pk_off + t.pk_len

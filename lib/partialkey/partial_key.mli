@@ -55,10 +55,11 @@ val encode_initial : granularity -> l_bytes:int -> key:Pk_keys.Key.t -> t
     root): encoded against the virtual all-zero key, matching
     {!val:initial_state}. *)
 
-val initial_state : granularity -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
-(** Search state before the first comparison: [(Gt, d)] with [d] the
-    search key's difference from the virtual all-zero key (its first
-    nonzero unit), or [(Eq, units)] for an all-zero search key. *)
+val initial_state : granularity -> Pk_keys.Key.t -> int
+(** Search state before the first comparison, packed
+    ({!Pk_keys.Key.pack}): [(Gt, d)] with [d] the search key's
+    difference from the virtual all-zero key (its first nonzero unit),
+    or [(Eq, units)] for an all-zero search key.  Allocation-free. *)
 
 val reconstructed_prefix_units : granularity -> t -> int
 (** Units of the key derivable from this partial key given its base:

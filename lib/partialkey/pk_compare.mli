@@ -25,19 +25,22 @@
     Correctness requires the indexed key set to be prefix-free when key
     lengths vary (see {!module:Partial_key}); the implementation claims
     [Lt]/[Gt] only on a definite stored-unit mismatch and degrades to
-    [Eq] (forcing a dereference) in every boundary case. *)
+    [Eq] (forcing a dereference) in every boundary case.
 
-type resolution =
-  | Resolved of Pk_keys.Key.cmp * int
-  | Need_units
-      (** The difference offsets coincide; the stored value units must
-          be consulted ([pk_off = off], steps 7-14 of Fig. 3). *)
+    Every function here returns its outcome packed into one int
+    ({!Pk_keys.Key.pack}: [(off lsl 2) lor code]), so a lookup resolves
+    partial keys without touching the OCaml heap. *)
 
-val resolve_by_offset :
-  rel:Pk_keys.Key.cmp -> off:int -> pk_off:int -> resolution
+val need_units : int
+(** Returned by {!resolve_by_offset} when the difference offsets
+    coincide and the stored value units must be consulted ([pk_off =
+    off], steps 7-14 of Fig. 3).  Negative, so it is never a packed
+    result. *)
+
+val resolve_by_offset : rel:Pk_keys.Key.cmp -> off:int -> pk_off:int -> int
 (** Offset-only resolution: Theorem 3.1 (steps 1-6 of Fig. 3) for
     [rel = Lt/Gt], Appendix A cases 1-2 for [rel = Eq].  Never touches
-    key value bits — this is the no-allocation fast path. *)
+    key value bits.  A packed [(cmp, off)] or {!need_units}. *)
 
 val resolve_by_units :
   Partial_key.granularity ->
@@ -46,12 +49,13 @@ val resolve_by_units :
   off:int ->
   pk_len:int ->
   pk_bits:bytes ->
-  Pk_keys.Key.cmp * int
-(** Value resolution for the [pk_off = off] case.  [pk_bits] are the
-    stored units of the index key (packed bits, or raw bytes whose
-    first byte is the difference byte).  For bit granularity the
-    implied difference bit is reconstructed from [rel] per Fig. 3
-    steps 8-11 / Appendix A case 3. *)
+  int
+(** Value resolution for the [pk_off = off] case, packed.  [pk_bits]
+    holds (at least) the stored units of the index key (packed bits,
+    or raw bytes whose first byte is the difference byte); only the
+    first [pk_len] units are read, so a reused buffer works.  For bit
+    granularity the implied difference bit is reconstructed from [rel]
+    per Fig. 3 steps 8-11 / Appendix A case 3. *)
 
 val compare_partkey :
   Partial_key.granularity ->
@@ -59,6 +63,7 @@ val compare_partkey :
   pk:Partial_key.t ->
   rel:Pk_keys.Key.cmp ->
   off:int ->
-  Pk_keys.Key.cmp * int
-(** The full procedure: offset resolution, falling back to stored
-    units.  Convenience composition of the two functions above. *)
+  int
+(** The full procedure, packed: offset resolution, falling back to
+    stored units.  Convenience composition of the two functions
+    above. *)

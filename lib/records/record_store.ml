@@ -58,30 +58,25 @@ let read_payload t addr =
 let count t = t.live
 let live_bytes t = Mem.live_bytes t.reg
 
-let compare_key t addr probe =
+let[@pklint.hot] compare_key t addr probe =
   let len = key_len t addr in
-  let c, d =
-    Mem.compare_detail t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
-      ~key_len:(Bytes.length probe)
-  in
-  (Key.cmp_of_int c, d)
+  Mem.compare_detail t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
+    ~key_len:(Bytes.length probe)
 
 let[@pklint.hot] compare_sign t addr probe =
   let len = key_len t addr in
   Mem.compare_sign t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
     ~key_len:(Bytes.length probe)
 
-let compare_key_bits t addr probe =
-  let c, d = compare_key t addr probe in
-  match c with
-  | Key.Eq -> (c, 8 * d)
-  | Key.Lt | Key.Gt ->
-      if d >= key_len t addr || d >= Bytes.length probe then
-        (* Difference is a length difference: first differing "bit" is
-           the first bit past the common prefix. *)
-        (c, 8 * d)
-      else
-        let stored = Mem.read_u8 t.reg (addr + header_bytes + d) in
-        let x = stored lxor Char.code (Bytes.get probe d) in
-        let rec clz n bit = if bit land x <> 0 then n else clz (n + 1) (bit lsr 1) in
-        (c, (8 * d) + clz 0 0x80)
+let[@pklint.hot] compare_key_bits t addr probe =
+  let p = compare_key t addr probe in
+  let d = Key.packed_off p in
+  if Key.packed_sign p = 0 then Key.pack_sign 0 (8 * d)
+  else if d >= key_len t addr || d >= Bytes.length probe then
+    (* Difference is a length difference: first differing "bit" is
+       the first bit past the common prefix. *)
+    Key.pack_sign (Key.packed_sign p) (8 * d)
+  else
+    let stored = Mem.read_u8 t.reg (addr + header_bytes + d) in
+    let x = stored lxor Char.code (Bytes.get probe d) in
+    Key.pack_sign (Key.packed_sign p) ((8 * d) + Pk_keys.Bitops.leading_zeros8 x)

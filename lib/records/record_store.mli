@@ -49,16 +49,16 @@ val count : t -> int
 
 val live_bytes : t -> int
 
-val compare_key : t -> int -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
+val compare_key : t -> int -> Pk_keys.Key.t -> int
 (** [compare_key t addr probe] compares the {e stored} key against
-    [probe] byte-wise: [(c, d)] where [c] is the ordering of stored key
-    vs probe and [d] the first differing byte index.  Only the examined
-    prefix is charged to the cache simulator, like a real memcmp. *)
+    [probe] byte-wise, packed ({!Pk_keys.Key.pack}): the ordering of
+    stored key vs probe and the first differing byte index.  Never
+    allocates; only the examined prefix is charged to the cache
+    simulator, like a real memcmp. *)
 
 val compare_sign : t -> int -> Pk_keys.Key.t -> int
-(** Sign-only variant of {!val:compare_key} that never allocates —
-    used by the batched lookup hot path for indirect schemes. *)
+(** The sign (-1/0/1) of {!val:compare_key}. *)
 
-val compare_key_bits : t -> int -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
-(** Same with [d] the first differing {e bit} offset (for
+val compare_key_bits : t -> int -> Pk_keys.Key.t -> int
+(** Same with the offset the first differing {e bit} (for
     bit-granularity partial keys). *)

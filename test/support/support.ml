@@ -51,6 +51,9 @@ let key_testable = Alcotest.testable (fun ppf k -> Fmt.string ppf (Key.to_hex k)
 let cmp_testable =
   Alcotest.testable Key.pp_cmp (fun a b -> a = b)
 
+(* A packed comparison result ({!Key.pack}) as its (cmp, offset) pair. *)
+let unpack p = (Key.packed_cmp p, Key.packed_off p)
+
 (* Seed-driven property: QCheck shrinks over the seed. *)
 let seeded_qtest ?(count = 200) name prop =
   QCheck_alcotest.to_alcotest

@@ -224,17 +224,19 @@ let test_fill_clamped () =
 
 (* {2 Zero-allocation contract}
 
-   Steady-state [lookup_into] must not allocate per probe for the
-   direct and indirect schemes (the partial path allocates FINDNODE
-   results; the prefix tree materialises suffixes), and a single
+   Steady-state [lookup_into] must not allocate per probe, and a single
    [lookup] — a one-probe batch over the tree's one-slot scratch — may
-   allocate only its [Some] box. *)
+   allocate only its [Some] box, on every scheme family: direct and
+   indirect (sign comparisons), partial keys at byte and bit
+   granularity on both trees (packed FINDNODE results in the tree's
+   entry_ops), and the prefix B+-tree (sign comparisons over stored
+   suffixes). *)
 
 let zero_alloc_indexes () =
   List.map
-    (fun (sname, st, scheme) ->
+    (fun (sname, build) ->
       let mem, records = Support.make_env () in
-      let ix = Index.make st scheme mem records in
+      let ix : Index.t = build mem records in
       let rng = Prng.create 99L in
       let n = 6000 in
       let keys = Keygen.uniform ~rng ~key_len ~alphabet:8 n in
@@ -244,12 +246,20 @@ let zero_alloc_indexes () =
           ignore (ix.Index.insert k ~rid))
         keys;
       (sname, ix, Array.init 256 (fun _ -> keys.(Prng.int rng n))))
-    [
-      ("B/direct", Index.B_tree, Layout.Direct { key_len });
-      ("B/indirect", Index.B_tree, Layout.Indirect);
-      ("T/direct", Index.T_tree, Layout.Direct { key_len });
-      ("T/indirect", Index.T_tree, Layout.Indirect);
-    ]
+    (List.map
+       (fun (sname, st, scheme) -> (sname, Index.make st scheme))
+       [
+         ("B/direct", Index.B_tree, Layout.Direct { key_len });
+         ("B/indirect", Index.B_tree, Layout.Indirect);
+         ("T/direct", Index.T_tree, Layout.Direct { key_len });
+         ("T/indirect", Index.T_tree, Layout.Indirect);
+         ( "B/pk-bit-l2",
+           Index.B_tree,
+           Layout.Partial { granularity = Pk_partialkey.Partial_key.Bit; l_bytes = 2 } );
+       ]
+    @ List.map
+        (fun tag -> (tag, Index.Registry.build ~key_len tag))
+        [ "pkB"; "pkT"; "B+/prefix" ])
 
 (* Minor words per call of [f] over [calls] calls, after three warm-up
    rounds that grow the scratch arrays. *)
@@ -358,8 +368,8 @@ let () =
         ] );
       ( "zero-alloc",
         [
-          Alcotest.test_case "direct+indirect lookup_into" `Quick test_zero_alloc;
-          Alcotest.test_case "direct+indirect single lookup" `Quick test_zero_alloc_single;
+          Alcotest.test_case "every scheme lookup_into" `Quick test_zero_alloc;
+          Alcotest.test_case "every scheme single lookup" `Quick test_zero_alloc_single;
         ] );
       ( "interleaved",
         List.map

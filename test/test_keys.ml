@@ -88,13 +88,13 @@ let test_compare_bits_at () =
   (* 10111000 *)
   let packed = Bytes.make 1 '\xE0' in
   (* 111..... *)
-  let c, i = Bitops.compare_bits_at k ~bit_off:2 ~packed ~bit_len:3 in
+  let c, i = Support.unpack (Bitops.compare_bits_at k ~bit_off:2 ~packed ~bit_len:3) in
   (* k bits 2..4 = 111 = packed -> equal *)
-  Alcotest.(check int) "equal" 0 c;
+  Alcotest.check Support.cmp_testable "equal" Key.Eq c;
   Alcotest.(check int) "agree length" 3 i;
-  let c2, i2 = Bitops.compare_bits_at k ~bit_off:1 ~packed ~bit_len:3 in
+  let c2, i2 = Support.unpack (Bitops.compare_bits_at k ~bit_off:1 ~packed ~bit_len:3) in
   (* k bits 1..3 = 011 vs 111: differ at rel 0, k smaller *)
-  Alcotest.(check bool) "lt" true (c2 < 0);
+  Alcotest.check Support.cmp_testable "lt" Key.Lt c2;
   Alcotest.(check int) "at rel 0" 0 i2
 
 let test_roundtrip_extract_compare seed =
@@ -104,8 +104,8 @@ let test_roundtrip_extract_compare seed =
   let off = Prng.int rng (8 * len) in
   let l = Prng.int rng (min 32 ((8 * len) - off + 1)) in
   let packed = Bitops.extract_bits k ~bit_off:off ~bit_len:l in
-  let c, i = Bitops.compare_bits_at k ~bit_off:off ~packed ~bit_len:l in
-  c = 0 && i = l
+  let c, i = Support.unpack (Bitops.compare_bits_at k ~bit_off:off ~packed ~bit_len:l) in
+  c = Key.Eq && i = l
 
 let test_keygen_uniform_properties () =
   let rng = Prng.create 99L in

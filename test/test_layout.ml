@@ -42,10 +42,7 @@ let test_direct_key_roundtrip () =
   let a = Mem.alloc r 64 in
   let k = Bytes.of_string "twentybytekey0123456" in
   Layout.write_direct_key r a k;
-  Alcotest.check Support.key_testable "roundtrip" k (Layout.read_direct_key r a ~key_len:20);
-  let c, d = Layout.compare_direct r a ~key_len:20 (Bytes.of_string "twentybytekey0123455") in
-  Alcotest.check Support.cmp_testable "stored greater" Key.Gt c;
-  Alcotest.(check int) "at byte 19" 19 d
+  Alcotest.check Support.key_testable "roundtrip" k (Layout.read_direct_key r a ~key_len:20)
 
 let roundtrip_pk g ~l_bytes pk =
   let r = region () in
@@ -107,7 +104,9 @@ let prop_resolve_units_equiv seed =
       Pk_compare.resolve_by_units g ~search ~rel ~off ~pk_len:pk.Partial_key.pk_len
         ~pk_bits:pk.Partial_key.pk_bits
     in
-    let got = Layout.resolve_pk_units r a ~scheme_granularity:g ~search ~rel ~off in
+    (* A reused window holding stale bytes past the stored units. *)
+    let units = Bytes.make l_bytes '\xff' in
+    let got = Layout.resolve_pk_units r a ~scheme_granularity:g ~units ~search ~rel ~off in
     got = expect
   end
 

@@ -109,9 +109,11 @@ let test_compare_detail_semantics () =
   let off = Mem.alloc r 16 in
   Mem.write_bytes r ~off ~src:(Bytes.of_string "banana") ~src_off:0 ~len:6;
   let check name probe plen exp_cmp exp_d =
-    let c, d = Mem.compare_detail r ~off ~len:6 (Bytes.of_string probe) ~key_off:0 ~key_len:plen in
-    Alcotest.(check int) (name ^ " cmp sign") exp_cmp (compare c 0);
-    Alcotest.(check int) (name ^ " diff") exp_d d
+    let p = Mem.compare_detail r ~off ~len:6 (Bytes.of_string probe) ~key_off:0 ~key_len:plen in
+    Alcotest.(check int) (name ^ " cmp sign") exp_cmp (Pk_keys.Key.packed_sign p);
+    Alcotest.(check int) (name ^ " diff") exp_d (Pk_keys.Key.packed_off p);
+    Alcotest.(check int) (name ^ " sign-only") exp_cmp
+      (Mem.compare_sign r ~off ~len:6 (Bytes.of_string probe) ~key_off:0 ~key_len:plen)
   in
   check "equal" "banana" 6 0 6;
   check "region less" "banz" 4 (-1) 3;

@@ -44,54 +44,55 @@ let make_ops ?truncate g ~l_bytes ~base ~keys ~search ~derefs : Node_search.entr
         match truncate with Some tb -> truncate_bits tb pk | None -> pk)
       keys
   in
-  {
-    Node_search.num_keys = Array.length keys;
-    pk_off = (fun i -> pks.(i).Partial_key.pk_off);
-    resolve_units =
-      (fun i ~rel ~off ->
+  let ops =
+    Node_search.make
+      ~pk_off:(fun i -> pks.(i).Partial_key.pk_off)
+      ~resolve_units:(fun i ~rel ~off ->
         Pk_compare.resolve_by_units g ~search ~rel ~off ~pk_len:pks.(i).Partial_key.pk_len
-          ~pk_bits:pks.(i).Partial_key.pk_bits);
-    branch_unit =
-      (fun i ->
+          ~pk_bits:pks.(i).Partial_key.pk_bits)
+      ~branch_unit:(fun i ->
         match g with
         | Partial_key.Bit -> 1
         | Partial_key.Byte ->
             if pks.(i).Partial_key.pk_len = 0 then -1
-            else Char.code (Bytes.get pks.(i).Partial_key.pk_bits 0));
-    search_unit =
-      (fun u ->
+            else Char.code (Bytes.get pks.(i).Partial_key.pk_bits 0))
+      ~search_unit:(fun u ->
         match g with
         | Partial_key.Bit -> bit_or_zero search u
-        | Partial_key.Byte -> byte_or_zero search u);
-    deref =
-      (fun i ->
+        | Partial_key.Byte -> byte_or_zero search u)
+      ~deref:(fun i ->
         incr derefs;
-        Partial_key.diff g search keys.(i));
-  }
+        let c, d = Partial_key.diff g search keys.(i) in
+        Key.pack c d)
+  in
+  ops.Node_search.num_keys <- Array.length keys;
+  ops
 
-let check_result g ~keys ~base ~search (r : Node_search.result) =
+(* The search result FINDNODE left in [ops] matches the sorted-array
+   model: position, and [off_low] = d(search, key_low) (or d(search,
+   base) when low = -1); the result's deref count is the one the ops
+   observed. *)
+let check_result g ~keys ~base ~search ~derefs (ops : Node_search.entry_ops) =
   let mlow, mhigh = Support.model_position keys search in
-  if r.Node_search.low <> mlow || r.Node_search.high <> mhigh then
-    Alcotest.failf "position (%d,%d) != model (%d,%d) for search %s" r.Node_search.low
-      r.Node_search.high mlow mhigh (Key.to_hex search);
-  (* The returned offset must be d(search, keys[low]) — or d(search,
-     base) when low = -1. *)
-  let against = if r.Node_search.low = -1 then base else keys.(r.Node_search.low) in
+  if ops.low <> mlow || ops.high <> mhigh then
+    Alcotest.failf "position (%d,%d) != model (%d,%d) for search %s" ops.low ops.high mlow mhigh
+      (Key.to_hex search);
+  let against = if ops.low = -1 then base else keys.(ops.low) in
   let _, d_true = Partial_key.diff g search against in
-  if r.Node_search.off_low <> d_true then
-    Alcotest.failf "off_low %d != %d (low=%d)" r.Node_search.off_low d_true r.Node_search.low
+  if ops.off_low <> d_true then
+    Alcotest.failf "off_low %d != %d (low=%d)" ops.off_low d_true ops.low;
+  if ops.derefs <> derefs then Alcotest.failf "derefs %d != %d observed" ops.derefs derefs
 
 let run_both g ~l_bytes ~base ~keys ~search =
   let c0, d0 = Partial_key.diff g search base in
   Alcotest.(check bool) "precondition: search above base" true (c0 = Key.Gt);
   let d1 = ref 0 and d2 = ref 0 in
-  let r1 = Node_search.find_node (make_ops g ~l_bytes ~base ~keys ~search ~derefs:d1) ~rel0:Key.Gt ~off0:d0 in
-  let r2 =
-    Node_search.naive_find_node (make_ops g ~l_bytes ~base ~keys ~search ~derefs:d2) ~rel0:Key.Gt
-      ~off0:d0
-  in
-  check_result g ~keys ~base ~search r1;
-  check_result g ~keys ~base ~search r2;
+  let o1 = make_ops g ~l_bytes ~base ~keys ~search ~derefs:d1 in
+  Node_search.find_node o1 ~rel0:Key.Gt ~off0:d0;
+  let o2 = make_ops g ~l_bytes ~base ~keys ~search ~derefs:d2 in
+  Node_search.naive_find_node o2 ~rel0:Key.Gt ~off0:d0;
+  check_result g ~keys ~base ~search ~derefs:!d1 o1;
+  check_result g ~keys ~base ~search ~derefs:!d2 o2;
   (!d1, !d2)
 
 let prop_positions g ~l_bytes seed =
@@ -158,9 +159,9 @@ let test_example_32_findnode () =
   let pk_off = ops.Node_search.pk_off in
   Alcotest.(check (list int)) "offsets as in Figure 4" [ 0; 3; 2; 4; 1 ]
     (List.init 5 pk_off);
-  let r = Node_search.find_node ops ~rel0:Key.Gt ~off0:0 in
-  Alcotest.(check int) "low" 3 r.Node_search.low;
-  Alcotest.(check int) "high" 4 r.Node_search.high;
+  Node_search.find_node ops ~rel0:Key.Gt ~off0:0;
+  Alcotest.(check int) "low" 3 ops.Node_search.low;
+  Alcotest.(check int) "high" 4 ops.Node_search.high;
   Alcotest.(check int) "no dereference" 0 !derefs
 
 (* The naive linear search on the same node needs exactly one
@@ -171,9 +172,9 @@ let test_example_32_naive () =
   let search = byte_key "10111" in
   let derefs = ref 0 in
   let ops = make_ops ~truncate:1 Partial_key.Bit ~l_bytes:1 ~base ~keys ~search ~derefs in
-  let r = Node_search.naive_find_node ops ~rel0:Key.Gt ~off0:0 in
-  Alcotest.(check int) "low" 3 r.Node_search.low;
-  Alcotest.(check int) "high" 4 r.Node_search.high;
+  Node_search.naive_find_node ops ~rel0:Key.Gt ~off0:0;
+  Alcotest.(check int) "low" 3 ops.Node_search.low;
+  Alcotest.(check int) "high" 4 ops.Node_search.high;
   Alcotest.(check int) "exactly one dereference" 1 !derefs
 
 let test_empty_node () =
@@ -182,9 +183,9 @@ let test_empty_node () =
     make_ops Partial_key.Byte ~l_bytes:2 ~base:(Bytes.of_string "a") ~keys:[||]
       ~search:(Bytes.of_string "b") ~derefs
   in
-  let r = Node_search.find_node ops ~rel0:Key.Gt ~off0:0 in
-  Alcotest.(check int) "low" (-1) r.Node_search.low;
-  Alcotest.(check int) "high" 0 r.Node_search.high
+  Node_search.find_node ops ~rel0:Key.Gt ~off0:0;
+  Alcotest.(check int) "low" (-1) ops.Node_search.low;
+  Alcotest.(check int) "high" 0 ops.Node_search.high
 
 let test_exact_match_found_as_low_eq_high () =
   let base = Bytes.of_string "aa" in
@@ -195,9 +196,9 @@ let test_exact_match_found_as_low_eq_high () =
       let ops = make_ops Partial_key.Byte ~l_bytes:1 ~base ~keys ~search:k ~derefs in
       let c0, d0 = Partial_key.diff Partial_key.Byte k base in
       Alcotest.(check bool) "above base" true (c0 = Key.Gt);
-      let r = Node_search.find_node ops ~rel0:Key.Gt ~off0:d0 in
-      Alcotest.(check int) (Printf.sprintf "low=%d" i) i r.Node_search.low;
-      Alcotest.(check int) (Printf.sprintf "high=%d" i) i r.Node_search.high)
+      Node_search.find_node ops ~rel0:Key.Gt ~off0:d0;
+      Alcotest.(check int) (Printf.sprintf "low=%d" i) i ops.Node_search.low;
+      Alcotest.(check int) (Printf.sprintf "high=%d" i) i ops.Node_search.high)
     keys
 
 let test_search_below_all () =
@@ -206,10 +207,10 @@ let test_search_below_all () =
   let search = Bytes.of_string "c" in
   let derefs = ref 0 in
   let ops = make_ops Partial_key.Byte ~l_bytes:1 ~base ~keys ~search ~derefs in
-  let r = Node_search.find_node ops ~rel0:Key.Gt ~off0:0 in
-  Alcotest.(check int) "low" (-1) r.Node_search.low;
-  Alcotest.(check int) "high" 0 r.Node_search.high;
-  Alcotest.(check int) "off_low unchanged" 0 r.Node_search.off_low
+  Node_search.find_node ops ~rel0:Key.Gt ~off0:0;
+  Alcotest.(check int) "low" (-1) ops.Node_search.low;
+  Alcotest.(check int) "high" 0 ops.Node_search.high;
+  Alcotest.(check int) "off_low unchanged" 0 ops.Node_search.off_low
 
 let test_search_above_all () =
   let base = Bytes.of_string "b" in
@@ -217,9 +218,51 @@ let test_search_above_all () =
   let search = Bytes.of_string "z" in
   let derefs = ref 0 in
   let ops = make_ops Partial_key.Byte ~l_bytes:1 ~base ~keys ~search ~derefs in
-  let r = Node_search.find_node ops ~rel0:Key.Gt ~off0:0 in
-  Alcotest.(check int) "low" 2 r.Node_search.low;
-  Alcotest.(check int) "high" 3 r.Node_search.high
+  Node_search.find_node ops ~rel0:Key.Gt ~off0:0;
+  Alcotest.(check int) "low" 2 ops.Node_search.low;
+  Alcotest.(check int) "high" 3 ops.Node_search.high
+
+(* The packed (cmp, offset) results at their extremes: byte offset
+   0xffff (the largest a u16 [pk_off] field stores) and the bit offsets
+   of a 0xffff-byte key (its last bit, and 8 * 0xffff for equal keys),
+   round-tripped and carried through whole FINDNODE searches. *)
+let test_packed_extremes () =
+  let last_bit = (8 * 0xffff) - 1 in
+  List.iter
+    (fun off ->
+      List.iter
+        (fun c ->
+          let p = Key.pack c off in
+          Alcotest.check Support.cmp_testable "cmp" c (Key.packed_cmp p);
+          Alcotest.(check int) "off" off (Key.packed_off p);
+          Alcotest.(check int) "sign" (Key.int_of_cmp c) (Key.packed_sign p);
+          Alcotest.(check int) "pack_sign" p (Key.pack_sign (Key.int_of_cmp c) off);
+          Alcotest.(check int) "flip" (Key.pack (Key.flip c) off) (Key.packed_flip p))
+        [ Key.Lt; Key.Eq; Key.Gt ])
+    [ 0; 0xffff; last_bit; 8 * 0xffff ];
+  (* A [len]-byte key of 0x01 bytes ending in the byte [v]. *)
+  let key len v =
+    let k = Bytes.make len '\x01' in
+    Bytes.set k (len - 1) (Char.chr v);
+    k
+  in
+  (* Byte granularity: every key differs from its base at byte 0xffff. *)
+  let base = key 0x10000 1 and keys = Array.map (key 0x10000) [| 3; 5; 7 |] in
+  let _, d = Partial_key.diff Partial_key.Byte keys.(0) base in
+  Alcotest.(check int) "byte pk_off" 0xffff d;
+  List.iter
+    (fun v -> ignore (run_both Partial_key.Byte ~l_bytes:2 ~base ~keys ~search:(key 0x10000 v)))
+    [ 2; 3; 6; 7; 9 ];
+  (* Bit granularity over 0xffff-byte keys: 0x02 -> 0x03 and
+     0x04 -> 0x05 differ at the key's last bit. *)
+  let base = key 0xffff 2 and keys = Array.map (key 0xffff) [| 3; 4; 5 |] in
+  let _, d = Partial_key.diff Partial_key.Bit keys.(0) base in
+  Alcotest.(check int) "bit pk_off" last_bit d;
+  List.iter
+    (fun v ->
+      ignore (run_both Partial_key.Bit ~l_bytes:1 ~base ~keys ~search:(key 0xffff v));
+      ignore (run_both Partial_key.Bit ~l_bytes:0 ~base ~keys ~search:(key 0xffff v)))
+    [ 3; 4; 5; 6 ]
 
 let () =
   Alcotest.run "pk_node_search"
@@ -254,5 +297,6 @@ let () =
           Alcotest.test_case "exact matches" `Quick test_exact_match_found_as_low_eq_high;
           Alcotest.test_case "below all" `Quick test_search_below_all;
           Alcotest.test_case "above all" `Quick test_search_above_all;
+          Alcotest.test_case "packed offsets at their extremes" `Quick test_packed_extremes;
         ] );
     ]

@@ -58,7 +58,7 @@ let run_chain g ~l_bytes ~base ~keys ~search =
       if not !stopped then begin
       let kb = if i = 0 then base else keys.(i - 1) in
       let pk = Partial_key.encode g ~l_bytes ~base:kb ~key:k in
-      let c, o = Pk_compare.compare_partkey g ~search ~pk ~rel:!rel ~off:!off in
+      let c, o = Support.unpack (Pk_compare.compare_partkey g ~search ~pk ~rel:!rel ~off:!off) in
       let c_true, d_true = Partial_key.diff g search k in
       (match c with
       | Key.Lt | Key.Gt ->
@@ -147,7 +147,7 @@ let test_example_32_sequence () =
       let pk = { pk with Partial_key.pk_len = min pk.Partial_key.pk_len 1;
                  pk_bits = (if pk.Partial_key.pk_len = 0 then Bytes.empty
                             else Bytes.make 1 (Char.chr (Char.code (Bytes.get pk.Partial_key.pk_bits 0) land 0x80))) } in
-      let c, o = Pk_compare.compare_partkey g ~search ~pk ~rel:!rel ~off:!off in
+      let c, o = Support.unpack (Pk_compare.compare_partkey g ~search ~pk ~rel:!rel ~off:!off) in
       results := (c, o) :: !results;
       (match c with
       | Key.Gt | Key.Eq ->
@@ -203,13 +203,13 @@ let test_encode_initial () =
   Alcotest.(check int) "nothing stored" 0 pk0.Partial_key.pk_len
 
 let test_initial_state () =
-  let c, d = Partial_key.initial_state Partial_key.Byte (Bytes.of_string "\x00\x07") in
+  let c, d = Support.unpack (Partial_key.initial_state Partial_key.Byte (Bytes.of_string "\x00\x07")) in
   Alcotest.check Support.cmp_testable "gt" Key.Gt c;
   Alcotest.(check int) "offset" 1 d;
-  let c2, d2 = Partial_key.initial_state Partial_key.Bit (Bytes.of_string "\x00\x07") in
+  let c2, d2 = Support.unpack (Partial_key.initial_state Partial_key.Bit (Bytes.of_string "\x00\x07")) in
   Alcotest.check Support.cmp_testable "gt bit" Key.Gt c2;
   Alcotest.(check int) "bit offset" 13 d2;
-  let c3, d3 = Partial_key.initial_state Partial_key.Byte (Bytes.make 2 '\000') in
+  let c3, d3 = Support.unpack (Partial_key.initial_state Partial_key.Byte (Bytes.make 2 '\000')) in
   Alcotest.check Support.cmp_testable "all zero is Eq" Key.Eq c3;
   Alcotest.(check int) "agrees everywhere" 2 d3
 
@@ -227,10 +227,8 @@ let test_units_and_prefix () =
 (* {2 resolve_by_offset decision table} *)
 
 let test_resolve_by_offset_table () =
-  let resolved c o = Pk_compare.Resolved (c, o) in
-  let check name got want =
-    Alcotest.(check bool) name true (got = want)
-  in
+  let resolved c o = Key.pack c o in
+  let check name got want = Alcotest.(check int) name want got in
   check "gt, pk earlier flips" (Pk_compare.resolve_by_offset ~rel:Key.Gt ~off:5 ~pk_off:3)
     (resolved Key.Lt 3);
   check "lt, pk earlier flips" (Pk_compare.resolve_by_offset ~rel:Key.Lt ~off:5 ~pk_off:3)
@@ -240,13 +238,13 @@ let test_resolve_by_offset_table () =
   check "lt, pk later keeps" (Pk_compare.resolve_by_offset ~rel:Key.Lt ~off:2 ~pk_off:7)
     (resolved Key.Lt 2);
   check "tie needs units" (Pk_compare.resolve_by_offset ~rel:Key.Gt ~off:4 ~pk_off:4)
-    Pk_compare.Need_units;
+    Pk_compare.need_units;
   check "eq, pk earlier is Lt" (Pk_compare.resolve_by_offset ~rel:Key.Eq ~off:6 ~pk_off:2)
     (resolved Key.Lt 2);
   check "eq, pk later unresolved" (Pk_compare.resolve_by_offset ~rel:Key.Eq ~off:3 ~pk_off:8)
     (resolved Key.Eq 3);
   check "eq tie needs units" (Pk_compare.resolve_by_offset ~rel:Key.Eq ~off:3 ~pk_off:3)
-    Pk_compare.Need_units
+    Pk_compare.need_units
 
 let () =
   Alcotest.run "pk_partialkey"

@@ -44,7 +44,7 @@ let test_compare_key () =
   let _, rs = make () in
   let rid = Record_store.insert rs ~key:(key "banana") ~payload:Bytes.empty in
   let check name probe exp_c exp_d =
-    let c, d = Record_store.compare_key rs rid (key probe) in
+    let c, d = Support.unpack (Record_store.compare_key rs rid (key probe)) in
     Alcotest.check Support.cmp_testable (name ^ " cmp") exp_c c;
     Alcotest.(check int) (name ^ " off") exp_d d
   in
@@ -59,11 +59,11 @@ let test_compare_key_bits () =
   let _, rs = make () in
   (* 'b' = 01100010 *)
   let rid = Record_store.insert rs ~key:(key "b") ~payload:Bytes.empty in
-  let c, d = Record_store.compare_key_bits rs rid (key "c") in
+  let c, d = Support.unpack (Record_store.compare_key_bits rs rid (key "c")) in
   (* 'c' = 01100011: differs at bit 7 *)
   Alcotest.check Support.cmp_testable "lt" Key.Lt c;
   Alcotest.(check int) "bit offset" 7 d;
-  let c2, d2 = Record_store.compare_key_bits rs rid (key "b") in
+  let c2, d2 = Support.unpack (Record_store.compare_key_bits rs rid (key "b")) in
   Alcotest.check Support.cmp_testable "eq" Key.Eq c2;
   Alcotest.(check int) "bit offset eq" 8 d2
 
