@@ -99,7 +99,6 @@ let shadow_detach t s =
 
 let shadow_live s = s.live
 let shadow_cow_bytes s = s.cow_bytes
-let shadowed t = match t.shadows with [] -> false | _ :: _ -> true
 
 let capture_page t s page =
   let r = page lsr l2_bits in

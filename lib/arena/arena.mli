@@ -109,9 +109,6 @@ val shadow_live : shadow -> bool
 val shadow_cow_bytes : shadow -> int
 (** Bytes of captured pre-image pages currently held (0 after detach). *)
 
-val shadowed : t -> bool
-(** Whether any shadow is attached. *)
-
 val shadow_get_u8 : t -> shadow -> int -> int
 val shadow_get_u16 : t -> shadow -> int -> int
 val shadow_get_u32 : t -> shadow -> int -> int

@@ -269,13 +269,3 @@ let diff ~before ~after =
 let misses snap ~level =
   let found = Array.to_list snap.per_level |> List.find_opt (fun c -> String.equal c.name level) in
   match found with Some c -> c.misses | None -> raise Not_found
-
-let pp_snapshot ppf snap =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun c ->
-      Format.fprintf ppf "%s: %d accesses, %d hits, %d misses@ " c.name c.accesses c.hits c.misses)
-    snap.per_level;
-  if snap.tlb_accesses > 0 then
-    Format.fprintf ppf "TLB: %d accesses, %d misses@ " snap.tlb_accesses snap.tlb_misses;
-  Format.fprintf ppf "simulated time: %.1f ns over %d accesses@]" snap.sim_ns snap.total_accesses

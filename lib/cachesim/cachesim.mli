@@ -85,5 +85,3 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 val misses : snapshot -> level:string -> int
 (** Misses recorded at the named level; raises [Not_found] for an
     unknown level name. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -652,10 +652,3 @@ let run_parallel_schedule ?(readers = 2) ?(shards = 4) ~seed ~ops () =
   incr validations;
   ( { ops = ops + !total_reads; applied = !applied; injected = 0; validations = !validations },
     !total_restarts )
-
-let run_parallel_suite ?readers ?shards ~seeds ~ops () =
-  List.fold_left
-    (fun (acc, restarts) seed ->
-      let o, r = run_parallel_schedule ?readers ?shards ~seed ~ops () in
-      (add acc o, restarts + r))
-    (zero, 0) seeds

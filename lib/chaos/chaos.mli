@@ -164,8 +164,3 @@ val run_parallel_schedule :
     the outcome ([ops] = writer rounds + total reads; [injected] = 0)
     and the total number of reader restarts — the
     [pk_lock_restarts_total] traffic this schedule generated. *)
-
-val run_parallel_suite :
-  ?readers:int -> ?shards:int -> seeds:int list -> ops:int -> unit -> outcome * int
-(** One parallel schedule per seed; outcomes and restart counts
-    summed. *)

@@ -121,7 +121,9 @@ let entry_key t node i = Entries.entry_key t.ec node i
 let is_partial t = Entries.is_partial t.ec
 
 (* {2 Partial-key maintenance} — scheme arithmetic lives in
-   {!module:Engine.Entries}; here only the base-key rules of §4.2. *)
+   {!module:Engine.Entries}; here only the base-key rules of §4.2.
+   A [base] is the record pointer of entry 0's base key ([null] = the
+   virtual zero key). *)
 
 let fix_pk t node i ~base =
   if is_partial t then Entries.fix_pk t.ec node i ~n:(num_keys t node) ~base
@@ -173,8 +175,13 @@ let remove_child t node i =
      children exist before removal. *)
   blit_children t ~src:node ~src_i:(i + 1) ~dst:node ~dst_i:i ~n:(n + 1 - i)
 
-(* Position search on the update paths — full-key binary search. *)
-let locate t node key = Entries.locate t.ec node ~n:(num_keys t node) key
+(* The one in-node search ({!Engine.Entries.search}) over a whole
+   node: insertion point, or [lnot i] for a match at entry [i]. *)
+let search t node key = Entries.search t.ec node key 0 (num_keys t node)
+
+(* Base of child [i]'s entry 0: the separator left of it, or the
+   node's own base for the leftmost child. *)
+let child_base t node i ~base = if i = 0 then base else rec_ptr t node (i - 1)
 
 (* {2 Insert} *)
 
@@ -211,8 +218,8 @@ let fix_pk_after_separator t parent ci ~base =
   end
 
 let rec insert_nonfull t node key rid ~base =
-  let pos, found = locate t node key in
-  if found then false
+  let pos = search t node key in
+  if pos < 0 then false
   else if is_leaf t node then begin
     open_entry_gap t node pos;
     write_entry t node pos ~key ~rid;
@@ -222,22 +229,19 @@ let rec insert_nonfull t node key rid ~base =
     true
   end
   else begin
-    let pos = ref pos in
-    let c = child t node !pos in
-    let descend_dup = ref false in
-    if num_keys t c = capacity t c then begin
-      split_child t node !pos;
-      fix_pk_after_separator t node !pos ~base;
-      let c', _ = Key.compare_detail key (entry_key t node !pos) in
-      match c' with
-      | Key.Eq -> descend_dup := true
-      | Key.Gt -> incr pos
-      | Key.Lt -> ()
-    end;
-    if !descend_dup then false
-    else
-      let child_base = if !pos = 0 then base else Some (entry_key t node (!pos - 1)) in
-      insert_nonfull t (child t node !pos) key rid ~base:child_base
+    let c = child t node pos in
+    (* After a split the median sits at [pos]: the key equals it (a
+       duplicate, -1) or descends on one side of it. *)
+    let pos =
+      if num_keys t c < capacity t c then pos
+      else begin
+        split_child t node pos;
+        fix_pk_after_separator t node pos ~base;
+        let s = Entries.probe_sign t.ec node key pos in
+        if s = 0 then -1 else if s > 0 then pos + 1 else pos
+      end
+    in
+    pos >= 0 && insert_nonfull t (child t node pos) key rid ~base:(child_base t node pos ~base)
   end
 
 let save t = (t.root, t.tree_height, t.n_nodes, t.n_keys)
@@ -267,11 +271,11 @@ let insert t key ~rid =
         let new_root = alloc_node t ~leaf:false in
         set_child t new_root 0 t.root;
         split_child t new_root 0;
-        fix_pk_after_separator t new_root 0 ~base:None;
+        fix_pk_after_separator t new_root 0 ~base:null;
         t.root <- new_root;
         t.tree_height <- t.tree_height + 1
       end;
-      let ok = insert_nonfull t t.root key rid ~base:None in
+      let ok = insert_nonfull t t.root key rid ~base:null in
       if ok then t.n_keys <- t.n_keys + 1;
       ok)
 
@@ -286,17 +290,6 @@ let insert t key ~rid =
    one mutable {!type:Node_search.entry_ops} re-aimed at each
    (node, probe), whose int fields receive FINDNODE's result, and every
    comparison returns a packed int. *)
-
-(* Binary search for [probe]; [lnot pos] (negative) encodes an exact
-   match at [pos], a non-negative result is the child slot. *)
-let[@pklint.hot] rec plain_locate t node probe lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    let c = Entries.probe_sign t.ec node probe mid in
-    if c = 0 then lnot mid
-    else if c < 0 then plain_locate t node probe lo mid
-    else plain_locate t node probe (mid + 1) hi
 
 (* Re-aim the shared ops at (node, probe) and run FINDNODE from the
    probe's accumulated descent state; the result lands in [ops]. *)
@@ -351,7 +344,7 @@ let router t =
         | Layout.Direct _ | Layout.Indirect ->
             common
               (fun node n slot ->
-                let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
+                let r = Entries.search t.ec node sc.Scratch.keys.(slot) 0 n in
                 if r < 0 then begin
                   sc.Scratch.out.(slot) <- rec_ptr t node (lnot r);
                   -1
@@ -361,8 +354,8 @@ let router t =
                   child t node r
                 end)
               (fun node n slot ->
-                let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
-                sc.Scratch.out.(slot) <- (if r < 0 then rec_ptr t node (lnot r) else -1))
+                sc.Scratch.out.(slot) <-
+                  Entries.found_rid t.ec node (Entries.search t.ec node sc.Scratch.keys.(slot) 0 n))
         | Layout.Partial _ ->
             (* One entry_ops per tree, re-aimed via the scratch cursor. *)
             let ops = Entries.make_ops t.ec sc ~shift:0 in
@@ -395,8 +388,8 @@ let borrow_from_left t parent ci ~base =
   if is_partial t then begin
     fix_pk t parent (ci - 1) ~base;
     fix_pk t parent ci ~base;
-    fix_pk t c 0 ~base:(Some (entry_key t parent (ci - 1)));
-    fix_pk t c 1 ~base:None
+    fix_pk t c 0 ~base:(rec_ptr t parent (ci - 1));
+    fix_pk t c 1 ~base:null
   end
 
 (* Right sibling lends its first entry via parent[ci]. *)
@@ -413,8 +406,8 @@ let borrow_from_right t parent ci ~base =
   if is_partial t then begin
     fix_pk t parent ci ~base;
     fix_pk t parent (ci + 1) ~base;
-    fix_pk t c cn ~base:None;
-    fix_pk t rs 0 ~base:(Some (entry_key t parent ci))
+    fix_pk t c cn ~base:null;
+    fix_pk t rs 0 ~base:(rec_ptr t parent ci)
   end
 
 (* Merge child [j], parent entry [j] and child [j+1] into child [j]. *)
@@ -433,7 +426,7 @@ let merge_children t parent j ~base =
   remove_child t parent (j + 1);
   free_node t r;
   if is_partial t then begin
-    fix_pk t l ln ~base:None;
+    fix_pk t l ln ~base:null;
     (* The right half's first entry keeps the separator as base — its
        copied pk is already correct.  The parent entry that slid into
        position [j] has a new predecessor. *)
@@ -442,31 +435,16 @@ let merge_children t parent j ~base =
   l
 
 (* Ensure child [ci] of [parent] has more than the minimum number of
-   keys, repairing via borrow or merge.  Returns the (possibly merged)
-   child index to descend into. *)
+   keys, repairing via borrow or merge. *)
 let reinforce_child t parent ci ~base =
   let c = child t parent ci in
-  if num_keys t c > min_keys t c then ci
-  else
+  if num_keys t c <= min_keys t c then
     let n = num_keys t parent in
-    if ci > 0 && num_keys t (child t parent (ci - 1)) > min_keys t (child t parent (ci - 1))
-    then begin
-      borrow_from_left t parent ci ~base;
-      ci
-    end
+    if ci > 0 && num_keys t (child t parent (ci - 1)) > min_keys t (child t parent (ci - 1)) then
+      borrow_from_left t parent ci ~base
     else if ci < n && num_keys t (child t parent (ci + 1)) > min_keys t (child t parent (ci + 1))
-    then begin
-      borrow_from_right t parent ci ~base;
-      ci
-    end
-    else if ci > 0 then begin
-      ignore (merge_children t parent (ci - 1) ~base);
-      ci - 1
-    end
-    else begin
-      ignore (merge_children t parent ci ~base);
-      ci
-    end
+    then borrow_from_right t parent ci ~base
+    else ignore (merge_children t parent (if ci > 0 then ci - 1 else ci) ~base : int)
 
 let rec min_entry t node =
   if is_leaf t node then (entry_key t node 0, rec_ptr t node 0)
@@ -480,15 +458,16 @@ let rec max_entry t node =
 (* Precondition: [node] has more than [min_keys] entries unless it is
    the root. *)
 let rec delete_rec t node key ~base =
-  let pos, found = locate t node key in
+  let r = search t node key in
   if is_leaf t node then
-    if not found then false
+    if r >= 0 then false
     else begin
-      remove_entry t node pos;
-      fix_pk t node pos ~base;
+      remove_entry t node (lnot r);
+      fix_pk t node (lnot r) ~base;
       true
     end
-  else if found then begin
+  else if r < 0 then begin
+    let pos = lnot r in
     let lc = child t node pos and rc = child t node (pos + 1) in
     if num_keys t lc > min_keys t lc then begin
       (* Replace with the predecessor and delete it below. *)
@@ -496,14 +475,11 @@ let rec delete_rec t node key ~base =
       write_entry t node pos ~key:pred_key ~rid:pred_rid;
       fix_pk t node pos ~base;
       fix_pk t node (pos + 1) ~base;
-      let ok =
-        delete_rec t lc pred_key
-          ~base:(if pos = 0 then base else Some (entry_key t node (pos - 1)))
-      in
+      let ok = delete_rec t lc pred_key ~base:(child_base t node pos ~base) in
       assert ok;
       (* The right subtree's leftmost chain is based on entry [pos],
          whose value changed. *)
-      refresh_chain t (child t node (pos + 1)) ~base:(Some pred_key);
+      refresh_chain t (child t node (pos + 1)) ~base:pred_rid;
       true
     end
     else if num_keys t rc > min_keys t rc then begin
@@ -512,34 +488,30 @@ let rec delete_rec t node key ~base =
       write_entry t node pos ~key:succ_key ~rid:succ_rid;
       fix_pk t node pos ~base;
       fix_pk t node (pos + 1) ~base;
-      let ok = delete_rec t rc succ_key ~base:(Some succ_key) in
+      let ok = delete_rec t rc succ_key ~base:succ_rid in
       assert ok;
-      refresh_chain t (child t node (pos + 1)) ~base:(Some succ_key);
+      refresh_chain t (child t node (pos + 1)) ~base:succ_rid;
       true
     end
     else begin
       (* Both neighbours minimal: merge around the key and recurse. *)
       let merged = merge_children t node pos ~base in
-      delete_rec t merged key ~base:(if pos = 0 then base else Some (entry_key t node (pos - 1)))
+      delete_rec t merged key ~base:(child_base t node pos ~base)
     end
   end
   else begin
-    let ci = reinforce_child t node pos ~base in
+    reinforce_child t node r ~base;
     (* Repairs may have moved entries; recompute the descent position. *)
-    let pos', found' = locate t node key in
-    if found' then delete_rec t node key ~base
-    else begin
-      ignore ci;
-      let child_base = if pos' = 0 then base else Some (entry_key t node (pos' - 1)) in
-      delete_rec t (child t node pos') key ~base:child_base
-    end
+    let r = search t node key in
+    if r < 0 then delete_rec t node key ~base
+    else delete_rec t (child t node r) key ~base:(child_base t node r ~base)
   end
 
 let delete t key =
   if t.root = null then false
   else
     guarded t (fun () ->
-        let ok = delete_rec t t.root key ~base:None in
+        let ok = delete_rec t t.root key ~base:null in
         if ok then t.n_keys <- t.n_keys - 1;
         (* Shrink the root when it empties.  Not gated on [ok]: the
            preemptive rebalancing of the descent can merge the root's
@@ -556,7 +528,7 @@ let delete t key =
             free_node t t.root;
             t.root <- only;
             t.tree_height <- t.tree_height - 1;
-            refresh_chain t t.root ~base:None
+            refresh_chain t t.root ~base:null
           end;
         ok)
 
@@ -659,9 +631,9 @@ let load_sorted t ~fill ~plan entries =
       let lo_g = if leaf then items.(!pos) else kid_lo.(!kid) in
       los.(i) <- lo_g;
       if is_partial t then begin
-        fix_pk t node 0 ~base:(if lo_g = 0 then None else Some (key (lo_g - 1)));
+        fix_pk t node 0 ~base:(if lo_g = 0 then null else rid (lo_g - 1));
         for j = 1 to sz - 1 do
-          fix_pk t node j ~base:None
+          fix_pk t node j ~base:null
         done
       end;
       pos := !pos + sz;
@@ -693,10 +665,10 @@ let rec push_spine t node stack =
 let rec seek_from t from node stack =
   if node = null then stack
   else
-    let pos, found = locate t node from in
-    let frame = (node, pos) in
-    if found || is_leaf t node then frame :: stack
-    else seek_from t from (child t node pos) (frame :: stack)
+    let r = search t node from in
+    if r < 0 then (node, lnot r) :: stack
+    else if is_leaf t node then (node, r) :: stack
+    else seek_from t from (child t node r) ((node, r) :: stack)
 
 (* {2 Validation} *)
 
@@ -710,7 +682,7 @@ let validate t =
     let total = ref 0 in
     let nodes = ref 0 in
     let leaf_depth = ref (-1) in
-    (* [lo]/[hi]: exclusive bounds; [base]: base key for entry 0. *)
+    (* [lo]/[hi]: exclusive bounds; [base]: record of entry 0's base. *)
     let rec walk node depth ~lo ~hi ~base =
       incr nodes;
       let n = num_keys t node in
@@ -740,19 +712,16 @@ let validate t =
               let rk = Record_store.read_key t.records (rec_ptr t node i) in
               if not (Key.equal rk k) then fail "node %d entry %d: inline key != record key" node i
           | _ -> ());
-          if is_partial t then
-            Entries.check_pk t.ec node i ~key:k
-              ~base:(if i = 0 then base else Some keys.(i - 1)))
+          if is_partial t then Entries.check_pk t.ec node i ~base)
         keys;
       if not (is_leaf t node) then
         for i = 0 to n do
           let lo' = if i = 0 then lo else Some keys.(i - 1) in
           let hi' = if i = n then hi else Some keys.(i) in
-          let base' = if i = 0 then base else Some keys.(i - 1) in
-          walk (child t node i) (depth + 1) ~lo:lo' ~hi:hi' ~base:base'
+          walk (child t node i) (depth + 1) ~lo:lo' ~hi:hi' ~base:(child_base t node i ~base)
         done
     in
-    walk t.root 0 ~lo:None ~hi:None ~base:None;
+    walk t.root 0 ~lo:None ~hi:None ~base:null;
     if !total <> t.n_keys then fail "key count mismatch: walked %d, recorded %d" !total t.n_keys;
     if !nodes <> t.n_nodes then
       fail "node count mismatch: walked %d, recorded %d" !nodes t.n_nodes;

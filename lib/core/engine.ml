@@ -213,9 +213,9 @@ let guarded ~reg ~cnt ~save ~restore f =
 
    The scheme-dependent entry code shared by the fixed-size-entry trees
    (B-tree and T-tree): address arithmetic, key access, partial-key
-   maintenance, and the comparison primitives of the lookup paths.  A
-   [ctx] captures everything the helpers need so trees keep no copies
-   of this logic. *)
+   maintenance, and the comparison primitives — the one in-node search
+   and FINDNODE's entry ops.  A [ctx] captures everything the helpers
+   need so trees keep no copies of this logic. *)
 
 module Entries = struct
   type ctx = {
@@ -258,35 +258,30 @@ module Entries = struct
 
   let is_partial c = match c.scheme with Layout.Partial _ -> true | _ -> false
 
+  (* The partial key entry [i] must store.  Its base is the record of
+     its predecessor entry, or for entry 0 the record [base] ([null] =
+     the virtual zero key).  Bases travel as record pointers: only here
+     are the two keys read out, and only for partial schemes. *)
+  let encode_pk c node i ~base =
+    let g = granularity c and l = l_bytes c in
+    let key = entry_key c node i in
+    let base = if i = 0 then base else rec_ptr c node (i - 1) in
+    if base = null then Partial_key.encode_initial g ~l_bytes:l ~key
+    else Partial_key.encode g ~l_bytes:l ~base:(Record_store.read_key c.records base) ~key
+
   (* Recompute the partial key of entry [i] of a node with [n] entries.
-     [base] is the base key for entry 0 (None = virtual zero key);
-     other entries use their predecessor.  The caller has checked the
-     scheme is partial. *)
+     The caller has checked the scheme is partial. *)
   (* Only called from tree split/merge/insert bodies below an
      established guard — audited escape. *)
   let[@pklint.guarded] fix_pk c node i ~n ~base =
-    if i >= 0 && i < n then begin
-      let g = granularity c and l = l_bytes c in
-      let key = entry_key c node i in
-      let pk =
-        if i = 0 then
-          match base with
-          | None -> Partial_key.encode_initial g ~l_bytes:l ~key
-          | Some b -> Partial_key.encode g ~l_bytes:l ~base:b ~key
-        else Partial_key.encode g ~l_bytes:l ~base:(entry_key c node (i - 1)) ~key
-      in
-      Layout.write_pk c.reg (entry_addr c node i) ~l_bytes:l pk
-    end
+    if i >= 0 && i < n then
+      Layout.write_pk c.reg (entry_addr c node i) ~l_bytes:(l_bytes c) (encode_pk c node i ~base)
 
   (* Re-derive entry [i]'s stored partial key from the record keys and
      fail on mismatch (validators). *)
-  let check_pk c node i ~key ~base =
-    let g = granularity c and l = l_bytes c in
-    let expect =
-      match base with
-      | None -> Partial_key.encode_initial g ~l_bytes:l ~key
-      | Some b -> Partial_key.encode g ~l_bytes:l ~base:b ~key
-    in
+  let check_pk c node i ~base =
+    let g = granularity c in
+    let expect = encode_pk c node i ~base in
     let got = Layout.read_pk c.reg (entry_addr c node i) ~granularity:g in
     if
       got.Partial_key.pk_off <> expect.Partial_key.pk_off
@@ -320,18 +315,6 @@ module Entries = struct
         Layout.write_direct_key c.reg a key
     | Layout.Indirect | Layout.Partial _ -> ()
 
-  (* Full-key binary search among [n] entries (update paths). *)
-  let locate c node ~n key =
-    let rec go lo hi =
-      (* invariant: entries [0,lo) < key < entries [hi,n) *)
-      if lo >= hi then (lo, false)
-      else
-        let mid = (lo + hi) / 2 in
-        let r, _ = Key.compare_detail key (entry_key c node mid) in
-        match r with Key.Eq -> (mid, true) | Key.Lt -> go lo mid | Key.Gt -> go (mid + 1) hi
-    in
-    go 0 n
-
   let byte_or_zero k i = if i < Bytes.length k then Char.code (Bytes.get k i) else 0
 
   let bit_or_zero k i =
@@ -348,17 +331,34 @@ module Entries = struct
       | Partial_key.Bit -> Record_store.compare_key_bits c.records rid search
       | Partial_key.Byte -> Record_store.compare_key c.records rid search)
 
-  (* Sign of c(probe, entry i), allocation-free (plain schemes only). *)
+  (* Sign of c(probe, entry i), comparing the key in place: the inline
+     key (direct) or the record key, which counts as a dereference.
+     Allocation-free. *)
   let[@pklint.hot] probe_sign c node probe i =
     match c.scheme with
     | Layout.Direct { key_len } ->
         -Mem.compare_sign c.reg
            ~off:(entry_addr c node i + 8)
            ~len:key_len probe ~key_off:0 ~key_len:(Bytes.length probe)
-    | Layout.Indirect ->
+    | Layout.Indirect | Layout.Partial _ ->
         Counters.deref c.cnt node i;
         -Record_store.compare_sign c.records (rec_ptr c node i) probe
-    | Layout.Partial _ -> assert false
+
+  (* The in-node search of every path but partial-key lookups (which
+     run FINDNODE): binary search of [probe] among entries [lo, hi).
+     Returns the insertion point, or [lnot i] (negative) for a match at
+     entry [i]. *)
+  let[@pklint.hot] rec search c node probe lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      let s = probe_sign c node probe mid in
+      if s = 0 then lnot mid
+      else if s < 0 then search c node probe lo mid
+      else search c node probe (mid + 1) hi
+
+  (* The record of a [search] match, or -1 for an insertion point. *)
+  let[@pklint.hot] found_rid c node r = if r < 0 then rec_ptr c node (lnot r) else -1
 
   (* FINDNODE entry_ops aimed through the scratch's (node, probe)
      cursor: one ops record per tree, re-aimed at each (node, probe)

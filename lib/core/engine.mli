@@ -147,19 +147,18 @@ module Entries : sig
   val l_bytes : ctx -> int
   val is_partial : ctx -> bool
 
-  val fix_pk : ctx -> int -> int -> n:int -> base:Key.t option -> unit
-  (** Recompute entry [i]'s stored partial key ([base] = base key for
-      entry 0; [None] is the virtual zero key).  Out-of-range [i] is a
-      no-op.  Partial schemes only. *)
+  val fix_pk : ctx -> int -> int -> n:int -> base:int -> unit
+  (** Recompute entry [i]'s stored partial key.  [base] is the record
+      pointer of entry 0's base key ([null] = the virtual zero key);
+      later entries are based on their predecessor.  Out-of-range [i]
+      is a no-op.  Partial schemes only. *)
 
-  val check_pk : ctx -> int -> int -> key:Key.t -> base:Key.t option -> unit
-  (** Re-derive entry [i]'s partial key and [failwith] on mismatch. *)
+  val check_pk : ctx -> int -> int -> base:int -> unit
+  (** Re-derive entry [i]'s partial key ([base] as for {!fix_pk}) and
+      [failwith] on mismatch. *)
 
   val blit_entries : ctx -> src:int -> src_i:int -> dst:int -> dst_i:int -> n:int -> unit
   val write_entry : ctx -> int -> int -> key:Key.t -> rid:int -> unit
-
-  val locate : ctx -> int -> n:int -> Key.t -> int * bool
-  (** Full-key binary search among [n] entries: (position, found). *)
 
   val byte_or_zero : Key.t -> int -> int
   val bit_or_zero : Key.t -> int -> int
@@ -169,8 +168,20 @@ module Entries : sig
       packed ({!Key.pack}); counts one dereference.  Allocation-free. *)
 
   val probe_sign : ctx -> int -> Key.t -> int -> int
-  (** Sign of [c(probe, entry i)], allocation-free.  Plain schemes
-      only; counts a dereference under the indirect scheme. *)
+  (** Sign of [c(probe, entry i)], comparing the key in place.  A
+      record-key comparison (indirect and partial schemes) counts one
+      dereference.  Allocation-free. *)
+
+  val search : ctx -> int -> Key.t -> int -> int -> int
+  (** [search c node probe lo hi]: binary search of [probe] among
+      entries [lo] to [hi - 1] over {!probe_sign}.  Returns the insertion
+      point, or [lnot i] (negative) when entry [i] matches.  The one
+      in-node search of the fixed-entry trees outside FINDNODE.
+      Allocation-free. *)
+
+  val found_rid : ctx -> int -> int -> int
+  (** [found_rid c node r]: the record pointer of a {!search} match
+      [r], or [-1] when [r] is an insertion point. *)
 
   val make_ops : ctx -> Scratch.t -> shift:int -> Node_search.entry_ops
   (** Build one {!type:Node_search.entry_ops} reading entries

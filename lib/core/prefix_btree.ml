@@ -759,20 +759,6 @@ let max_separator_len t =
   if t.root <> null then walk t.root;
   !best
 
-(* Print the tree structure (debugging aid). *)
-let debug_dump t oc =
-  let rec walk node depth =
-    if node <> null then begin
-      let pad = String.make (2 * depth) ' ' in
-      let keys = List.map (fun (k, _) -> Key.to_hex k) (read_entries t node) in
-      Printf.fprintf oc "%s%s %d plen=%d: %s\n" pad
-        (if is_leaf t node then "leaf" else "int ") node (prefix_len t node)
-        (String.concat " " keys);
-      if not (is_leaf t node) then List.iter (fun c -> walk c (depth + 1)) (children t node)
-    end
-  in
-  walk t.root 0
-
 (* {2 Validation} *)
 
 let validate t =

@@ -89,9 +89,6 @@ val max_separator_len : t -> int
 
 val validate : t -> unit
 
-val debug_dump : t -> out_channel -> unit
-(** Print the node structure (debugging aid). *)
-
 val wrap : t -> tag:string -> Engine.ops
 (** The full access-path record over this tree, assembled by
     {!module:Engine.Make}. *)

@@ -116,8 +116,9 @@ let is_partial t = Entries.is_partial t.ec
 (* {2 Partial-key maintenance (§4.1)} — scheme arithmetic lives in
    {!module:Engine.Entries}; here only the base-key rules. *)
 
-(* Recompute the partial key of entry [i]; [base] is the base for entry
-   0, i.e. the parent node's leftmost key (None at the root). *)
+(* Recompute the partial key of entry [i]; [base] is the record of
+   entry 0's base key, i.e. the parent node's leftmost entry ([null] =
+   the virtual zero key, at the root). *)
 let fix_pk t node i ~base =
   if is_partial t && node <> null then Entries.fix_pk t.ec node i ~n:(num_keys t node) ~base
 
@@ -127,7 +128,7 @@ let fix_pk t node i ~base =
 let fix_pk0_and_children t node ~base =
   if is_partial t && node <> null then begin
     fix_pk t node 0 ~base;
-    let k0 = Some (entry_key t node 0) in
+    let k0 = rec_ptr t node 0 in
     if left t node <> null then fix_pk t (left t node) 0 ~base:k0;
     if right t node <> null then fix_pk t (right t node) 0 ~base:k0
   end
@@ -145,14 +146,14 @@ let insert_at t node i ~key ~rid =
   blit_entries t ~src:node ~src_i:i ~dst:node ~dst_i:(i + 1) ~n:(n - i);
   write_entry t node i ~key ~rid;
   set_num_keys t node (n + 1);
-  if i > 0 then fix_pk t node i ~base:None;
-  fix_pk t node (i + 1) ~base:None
+  if i > 0 then fix_pk t node i ~base:null;
+  fix_pk t node (i + 1) ~base:null
 
 let remove_at t node i =
   let n = num_keys t node in
   blit_entries t ~src:node ~src_i:(i + 1) ~dst:node ~dst_i:i ~n:(n - i - 1);
   set_num_keys t node (n - 1);
-  if i > 0 then fix_pk t node i ~base:None
+  if i > 0 then fix_pk t node i ~base:null
 
 (* {2 AVL rebalancing} *)
 
@@ -175,10 +176,8 @@ let rotate_right t z =
   update_height t z;
   update_height t y;
   if is_partial t then begin
-    let y0 = Some (entry_key t y 0) in
-    fix_pk t z 0 ~base:y0;
-    let z0 = Some (entry_key t z 0) in
-    if left t z <> null then fix_pk t (left t z) 0 ~base:z0
+    fix_pk t z 0 ~base:(rec_ptr t y 0);
+    if left t z <> null then fix_pk t (left t z) 0 ~base:(rec_ptr t z 0)
   end;
   y
 
@@ -191,10 +190,8 @@ let rotate_left t z =
   update_height t z;
   update_height t y;
   if is_partial t then begin
-    let y0 = Some (entry_key t y 0) in
-    fix_pk t z 0 ~base:y0;
-    let z0 = Some (entry_key t z 0) in
-    if right t z <> null then fix_pk t (right t z) 0 ~base:z0
+    fix_pk t z 0 ~base:(rec_ptr t y 0);
+    if right t z <> null then fix_pk t (right t z) 0 ~base:(rec_ptr t z 0)
   end;
   y
 
@@ -213,13 +210,13 @@ let merge_half_leaf t node =
       set_left t node null;
       set_num_keys t node (n + cn);
       (* Seam: the old first entry now follows the child's last. *)
-      fix_pk t node cn ~base:None
+      fix_pk t node cn ~base:null
     end
     else begin
       blit_entries t ~src:child ~src_i:0 ~dst:node ~dst_i:n ~n:cn;
       set_right t node null;
       set_num_keys t node (n + cn);
-      fix_pk t node n ~base:None
+      fix_pk t node n ~base:null
     end;
     free_node t child
   end
@@ -239,7 +236,7 @@ let rec slide_fill t node =
   if node <> null then
     while left t node <> null && right t node <> null && num_keys t node < t.min_internal do
       Fault.point "ttree.slide";
-      let l', (k, rid) = remove_max t (left t node) ~base:(Some (entry_key t node 0)) in
+      let l', (k, rid) = remove_max t (left t node) ~base:(rec_ptr t node 0) in
       set_left t node l';
       insert_at t node 0 ~key:k ~rid
     done
@@ -250,14 +247,14 @@ and rebalance t node ~base =
     if bf > 1 then begin
       if balance_factor t (left t node) < 0 then begin
         set_left t node (rotate_left t (left t node));
-        fix_pk t (left t node) 0 ~base:(Some (entry_key t node 0))
+        fix_pk t (left t node) 0 ~base:(rec_ptr t node 0)
       end;
       rotate_right t node
     end
     else if bf < -1 then begin
       if balance_factor t (right t node) > 0 then begin
         set_right t node (rotate_right t (right t node));
-        fix_pk t (right t node) 0 ~base:(Some (entry_key t node 0))
+        fix_pk t (right t node) 0 ~base:(rec_ptr t node 0)
       end;
       rotate_left t node
     end
@@ -292,7 +289,7 @@ and fix_after_removal t node ~base =
   else begin
     if l <> null && r <> null && n < t.min_internal then begin
       (* Internal: pull the greatest lower bound up into position 0. *)
-      let l', (k, rid) = remove_max t l ~base:(Some (entry_key t node 0)) in
+      let l', (k, rid) = remove_max t l ~base:(rec_ptr t node 0) in
       set_left t node l';
       insert_at t node 0 ~key:k ~rid;
       fix_pk0_and_children t node ~base
@@ -313,7 +310,7 @@ and fix_after_removal t node ~base =
 and remove_max t node ~base =
   let n = num_keys t node in
   if right t node <> null then begin
-    let r, kv = remove_max t (right t node) ~base:(Some (entry_key t node 0)) in
+    let r, kv = remove_max t (right t node) ~base:(rec_ptr t node 0) in
     set_right t node r;
     (rebalance t node ~base, kv)
   end
@@ -330,8 +327,6 @@ and remove_max t node ~base =
 
 (* {2 Insert} *)
 
-let locate t node key = Entries.locate t.ec node ~n:(num_keys t node) key
-
 let new_leaf t ~key ~rid ~base =
   let node = alloc_node t in
   write_entry t node 0 ~key ~rid;
@@ -346,12 +341,12 @@ let rec insert_max t node ~key ~rid ~base =
   if node = null then new_leaf t ~key ~rid ~base
   else begin
     (if right t node <> null then begin
-       let r = insert_max t (right t node) ~key ~rid ~base:(Some (entry_key t node 0)) in
+       let r = insert_max t (right t node) ~key ~rid ~base:(rec_ptr t node 0) in
        set_right t node r
      end
      else if num_keys t node < t.max_entries then insert_at t node (num_keys t node) ~key ~rid
      else begin
-       let r = new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)) in
+       let r = new_leaf t ~key ~rid ~base:(rec_ptr t node 0) in
        set_right t node r
      end);
     rebalance t node ~base
@@ -373,49 +368,53 @@ let restore t (root, nn, nk) =
 let guarded t f =
   Engine.guarded ~reg:t.reg ~cnt:(cnt t) ~save:(fun () -> save t) ~restore:(restore t) f
 
+(* Sign of [key] against the last of [node]'s [n] entries, once entry
+   0 compared below it: the bounding test shared by insert, delete and
+   seek.  A one-entry node reuses the head sign [c0]. *)
+let last_sign t node key ~n ~c0 = if n = 1 then c0 else Entries.probe_sign t.ec node key (n - 1)
+
 let rec insert_rec t node key rid ~base =
   if node = null then new_leaf t ~key ~rid ~base
   else begin
     let n = num_keys t node in
-    let c0, _ = Key.compare_detail key (entry_key t node 0) in
-    let cl, _ = if n = 0 then (Key.Lt, 0) else Key.compare_detail key (entry_key t node (n - 1)) in
-    (match c0 with
-    | Key.Eq -> raise Duplicate
-    | Key.Lt ->
-        if left t node <> null then
-          set_left t node (insert_rec t (left t node) key rid ~base:(Some (entry_key t node 0)))
-        else if n < t.max_entries then begin
-          insert_at t node 0 ~key ~rid;
-          fix_pk0_and_children t node ~base
+    let c0 = Entries.probe_sign t.ec node key 0 in
+    if c0 = 0 then raise Duplicate
+    else if c0 < 0 then begin
+      if left t node <> null then
+        set_left t node (insert_rec t (left t node) key rid ~base:(rec_ptr t node 0))
+      else if n < t.max_entries then begin
+        insert_at t node 0 ~key ~rid;
+        fix_pk0_and_children t node ~base
+      end
+      else set_left t node (new_leaf t ~key ~rid ~base:(rec_ptr t node 0))
+    end
+    else begin
+      let cl = last_sign t node key ~n ~c0 in
+      if cl = 0 then raise Duplicate
+      else if cl > 0 then begin
+        if right t node <> null then
+          set_right t node (insert_rec t (right t node) key rid ~base:(rec_ptr t node 0))
+        else if n < t.max_entries then insert_at t node n ~key ~rid
+        else set_right t node (new_leaf t ~key ~rid ~base:(rec_ptr t node 0))
+      end
+      else begin
+        (* Bounding node: the key lies strictly between entries 0 and
+           n - 1. *)
+        let pos = Entries.search t.ec node key 1 (n - 1) in
+        if pos < 0 then raise Duplicate;
+        if n < t.max_entries then insert_at t node pos ~key ~rid
+        else begin
+          (* Full: evict the minimum to the left subtree (its greatest
+             lower bound node), then insert. *)
+          let ev_key = entry_key t node 0 and ev_rid = rec_ptr t node 0 in
+          remove_at t node 0;
+          insert_at t node (pos - 1) ~key ~rid;
+          fix_pk0_and_children t node ~base;
+          set_left t node
+            (insert_max t (left t node) ~key:ev_key ~rid:ev_rid ~base:(rec_ptr t node 0))
         end
-        else set_left t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
-    | Key.Gt -> (
-        match cl with
-        | Key.Eq -> raise Duplicate
-        | Key.Gt ->
-            if right t node <> null then
-              set_right t node
-                (insert_rec t (right t node) key rid ~base:(Some (entry_key t node 0)))
-            else if n < t.max_entries then insert_at t node n ~key ~rid
-            else set_right t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
-        | Key.Lt ->
-            (* Bounding node. *)
-            let pos, found = locate t node key in
-            if found then raise Duplicate;
-            if n < t.max_entries then insert_at t node pos ~key ~rid
-            else begin
-              (* Full: evict the minimum to the left subtree (its
-                 greatest lower bound node), then insert. *)
-              let ev_key = entry_key t node 0 and ev_rid = rec_ptr t node 0 in
-              remove_at t node 0;
-              insert_at t node (pos - 1) ~key ~rid;
-              fix_pk0_and_children t node ~base;
-              let l =
-                insert_max t (left t node) ~key:ev_key ~rid:ev_rid
-                  ~base:(Some (entry_key t node 0))
-              in
-              set_left t node l
-            end));
+      end
+    end;
     rebalance t node ~base
   end
 
@@ -427,10 +426,10 @@ let insert t key ~rid =
            (Bytes.length key))
   | _ -> ());
   guarded t (fun () ->
-      match insert_rec t t.root key rid ~base:None with
+      match insert_rec t t.root key rid ~base:null with
       | root ->
           t.root <- root;
-          fix_pk0_and_children t t.root ~base:None;
+          fix_pk0_and_children t t.root ~base:null;
           t.n_keys <- t.n_keys + 1;
           true
       | exception Duplicate -> false)
@@ -447,20 +446,20 @@ let rec delete_rec t node key ~base =
   if node = null then raise Not_present
   else begin
     let n = num_keys t node in
-    let c0, _ = Key.compare_detail key (entry_key t node 0) in
-    let cl, _ = if n = 0 then (Key.Gt, 0) else Key.compare_detail key (entry_key t node (n - 1)) in
+    let c0 = Entries.probe_sign t.ec node key 0 in
     let node =
-      match (c0, cl) with
-      | Key.Lt, _ ->
-        set_left t node (delete_rec t (left t node) key ~base:(Some (entry_key t node 0)));
+      if c0 < 0 then begin
+        set_left t node (delete_rec t (left t node) key ~base:(rec_ptr t node 0));
         node
-      | _, Key.Gt ->
-        set_right t node (delete_rec t (right t node) key ~base:(Some (entry_key t node 0)));
+      end
+      else if c0 > 0 && last_sign t node key ~n ~c0 > 0 then begin
+        set_right t node (delete_rec t (right t node) key ~base:(rec_ptr t node 0));
         node
-      | _ -> begin
-        let pos, found = locate t node key in
-        if not found then raise Not_present;
-        remove_at t node pos;
+      end
+      else begin
+        let r = if c0 = 0 then lnot 0 else Entries.search t.ec node key 1 n in
+        if r >= 0 then raise Not_present;
+        remove_at t node (lnot r);
         fix_after_removal t node ~base
       end
     in
@@ -473,10 +472,10 @@ let rec delete_rec t node key ~base =
 
 let delete t key =
   guarded t (fun () ->
-      match delete_rec t t.root key ~base:None with
+      match delete_rec t t.root key ~base:null with
       | root ->
           t.root <- root;
-          fix_pk0_and_children t t.root ~base:None;
+          fix_pk0_and_children t t.root ~base:null;
           t.n_keys <- t.n_keys - 1;
           true
       | exception Not_present -> false)
@@ -493,16 +492,6 @@ let delete t key =
    direct and indirect schemes; packed head comparisons and one
    mutable shifted [entry_ops], whose int fields receive FINDNODE's
    result, for the partial-key final in-ancestor search. *)
-
-(* Binary search among entries [lo, hi) of [node]; rid or -1. *)
-let[@pklint.hot] rec tresolve t node probe lo hi =
-  if lo >= hi then -1
-  else
-    let mid = (lo + hi) / 2 in
-    let c = Entries.probe_sign t.ec node probe mid in
-    if c = 0 then rec_ptr t node mid
-    else if c < 0 then tresolve t node probe lo mid
-    else tresolve t node probe (mid + 1) hi
 
 (* FINDTTREE's per-node step: compare against the leftmost entry and
    advance the probe's (rel, off) state; the sign steers the descent. *)
@@ -567,7 +556,10 @@ let tdriver t =
                 c)
               (fun la slot ->
                 sc.Scratch.out.(slot) <-
-                  (if la = null then -1 else tresolve t la sc.Scratch.keys.(slot) 1 (num_keys t la)))
+                  (if la = null then -1
+                   else
+                     Entries.found_rid t.ec la
+                       (Entries.search t.ec la sc.Scratch.keys.(slot) 1 (num_keys t la))))
         | Layout.Partial _ ->
             (* One shifted entry_ops per tree, re-aimed via the scratch
                cursor. *)
@@ -650,10 +642,10 @@ let load_sorted t ~fill ~plan entries =
       if is_partial t then begin
         fix_pk t node 0 ~base;
         for j = 1 to sz - 1 do
-          fix_pk t node j ~base:None
+          fix_pk t node j ~base:null
         done
       end;
-      let k0 = Some (fst entries.(start)) in
+      let k0 = snd entries.(start) in
       let nl = if clo < mid then 1 else 0 and nr = if mid + 1 < chi then 1 else 0 in
       let cbase = next_idx.(d + 1) in
       next_idx.(d + 1) <- cbase + nl + nr;
@@ -666,7 +658,7 @@ let load_sorted t ~fill ~plan entries =
       (node, h)
     end
   in
-  let root, _ = build 0 m ~base:None ~d:0 ~idx:0 in
+  let root, _ = build 0 m ~base:null ~d:0 ~idx:0 in
   t.root <- root;
   t.n_keys <- n
 
@@ -682,14 +674,12 @@ let rec seek_from t from node stack =
   if node = null then stack
   else
     let n = num_keys t node in
-    let c0, _ = Key.compare_detail from (entry_key t node 0) in
-    let cl, _ = Key.compare_detail from (entry_key t node (n - 1)) in
-    match (c0, cl) with
-    | Key.Lt, _ -> seek_from t from (left t node) ((node, 0) :: stack)
-    | _, Key.Gt -> seek_from t from (right t node) stack
-    | _ ->
-      let pos, _ = locate t node from in
-      (node, pos) :: stack
+    let c0 = Entries.probe_sign t.ec node from 0 in
+    if c0 < 0 then seek_from t from (left t node) ((node, 0) :: stack)
+    else if c0 > 0 && last_sign t node from ~n ~c0 > 0 then seek_from t from (right t node) stack
+    else
+      let r = if c0 = 0 then lnot 0 else Entries.search t.ec node from 1 n in
+      (node, if r < 0 then lnot r else r) :: stack
 
 (* {2 Validation} *)
 
@@ -721,10 +711,9 @@ let validate t =
           (match hi with
           | Some b when Key.compare k b >= 0 -> fail "node %d entry %d above range" node i
           | _ -> ());
-          if is_partial t then
-            Entries.check_pk t.ec node i ~key:k ~base:(if i = 0 then base else Some keys.(i - 1)))
+          if is_partial t then Entries.check_pk t.ec node i ~base)
         keys;
-      let k0 = Some keys.(0) in
+      let k0 = rec_ptr t node 0 in
       let hl = walk (left t node) ~lo ~hi:(Some keys.(0)) ~base:k0 in
       let hr = walk (right t node) ~lo:(Some keys.(n - 1)) ~hi ~base:k0 in
       if abs (hl - hr) > 1 then fail "node %d unbalanced: %d vs %d" node hl hr;
@@ -734,7 +723,7 @@ let validate t =
       h
     end
   in
-  ignore (walk t.root ~lo:None ~hi:None ~base:None);
+  ignore (walk t.root ~lo:None ~hi:None ~base:null);
   if !total <> t.n_keys then fail "key count mismatch: walked %d, recorded %d" !total t.n_keys;
   if !nodes <> t.n_nodes then fail "node count mismatch: walked %d, recorded %d" !nodes t.n_nodes
 

@@ -25,7 +25,6 @@ let region_stride = 1 lsl 40
 let create ?cache () = { sim = cache; trace_on = false; next_base = 0; regions = [] }
 
 let cache t = t.sim
-let set_cache t c = t.sim <- c
 let tracing t = t.trace_on && Option.is_some t.sim
 let set_tracing t b = t.trace_on <- b
 

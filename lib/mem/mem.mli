@@ -23,7 +23,6 @@ type region
 val create : ?cache:Pk_cachesim.Cachesim.t -> unit -> t
 
 val cache : t -> Pk_cachesim.Cachesim.t option
-val set_cache : t -> Pk_cachesim.Cachesim.t option -> unit
 
 val tracing : t -> bool
 val set_tracing : t -> bool -> unit

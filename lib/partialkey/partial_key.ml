@@ -3,9 +3,6 @@ module Bitops = Pk_keys.Bitops
 
 type granularity = Bit | Byte
 
-let pp_granularity ppf g =
-  Format.pp_print_string ppf (match g with Bit -> "bit" | Byte -> "byte")
-
 type t = { pk_off : int; pk_len : int; pk_bits : bytes }
 
 let units_of_key g k = match g with Bit -> 8 * Bytes.length k | Byte -> Bytes.length k

@@ -25,8 +25,6 @@
 
 type granularity = Bit | Byte
 
-val pp_granularity : Format.formatter -> granularity -> unit
-
 type t = {
   pk_off : int;   (** Offset of the difference unit w.r.t. the base key. *)
   pk_len : int;   (** Number of units stored in [pk_bits] (<= l). *)

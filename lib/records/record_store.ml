@@ -58,21 +58,24 @@ let read_payload t addr =
 let count t = t.live
 let live_bytes t = Mem.live_bytes t.reg
 
-let[@pklint.hot] compare_key t addr probe =
-  let len = key_len t addr in
+let[@pklint.hot] compare_stored t addr ~len probe =
   Mem.compare_detail t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
     ~key_len:(Bytes.length probe)
+
+let[@pklint.hot] compare_key t addr probe = compare_stored t addr ~len:(key_len t addr) probe
 
 let[@pklint.hot] compare_sign t addr probe =
   let len = key_len t addr in
   Mem.compare_sign t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
     ~key_len:(Bytes.length probe)
 
+(* [key_len] is read once: the length check below reuses it. *)
 let[@pklint.hot] compare_key_bits t addr probe =
-  let p = compare_key t addr probe in
+  let len = key_len t addr in
+  let p = compare_stored t addr ~len probe in
   let d = Key.packed_off p in
   if Key.packed_sign p = 0 then Key.pack_sign 0 (8 * d)
-  else if d >= key_len t addr || d >= Bytes.length probe then
+  else if d >= len || d >= Bytes.length probe then
     (* Difference is a length difference: first differing "bit" is
        the first bit past the common prefix. *)
     Key.pack_sign (Key.packed_sign p) (8 * d)

@@ -296,6 +296,54 @@ let test_zero_alloc_single () =
       if per_call > 2.0 then Alcotest.failf "%s: %.4f minor words per single lookup" sname per_call)
     (zero_alloc_indexes ())
 
+(* {2 Update-path allocation}
+
+   Insert and delete place a key with the trees' one in-node search,
+   which compares record keys in place, and carry each level's base as
+   a record pointer, so no record key is copied per search step or per
+   descent level.  A steady-state mutation still allocates for the
+   access-path wrapper and the unwind scope's undo records and, on
+   partial-key schemes, for re-encoding the partial keys next to the
+   changed entry.  The bounds are the measured minor words per
+   operation (pkB 188, B-indirect 75, B-direct 78) with about 25%
+   headroom; copying record keys per search step costs over 300 more
+   on each.  pkT measures 2584, most of it [Ttree.rebalance]
+   re-encoding entry 0 on every level, so its bound has 4% headroom:
+   key-copying searches measure 2861. *)
+
+let update_alloc_bounds = [ ("pkB", 235.0); ("B-indirect", 95.0); ("B-direct", 100.0); ("pkT", 2700.0) ]
+
+let test_update_alloc () =
+  List.iter
+    (fun (tag, bound) ->
+      let mem, records = Support.make_env () in
+      let ix = Index.Registry.build ~key_len tag mem records in
+      let rng = Prng.create 23L in
+      let n = 6000 and m = 64 in
+      let keys = Keygen.uniform ~rng ~key_len ~alphabet:8 (n + m) in
+      let rid k = Record_store.insert records ~key:k ~payload:Bytes.empty in
+      for i = 0 to n - 1 do
+        ignore (ix.Index.insert keys.(i) ~rid:(rid keys.(i)) : bool)
+      done;
+      let churn =
+        Array.sub keys n m |> Array.to_list
+        |> List.filter (fun k -> ix.Index.lookup k = None)
+        |> List.map (fun k -> (k, rid k))
+        |> Array.of_list
+      in
+      let per_op =
+        minor_words_per ~calls:(2 * Array.length churn) (fun () ->
+            Array.iter
+              (fun (k, r) ->
+                if not (ix.Index.insert k ~rid:r && ix.Index.delete k) then
+                  Alcotest.failf "%s: churn of %s failed" tag (Key.to_hex k))
+              churn)
+      in
+      ix.Index.validate ();
+      if per_op > bound then
+        Alcotest.failf "%s: %.1f minor words per insert/delete, bound %.0f" tag per_op bound)
+    update_alloc_bounds
+
 (* Singles between two identical batches run through the tree's one-slot
    scratch: the second batch must re-aim the scratch at its own arrays
    and reproduce the first, and the singles must leave the caller's
@@ -370,6 +418,7 @@ let () =
         [
           Alcotest.test_case "every scheme lookup_into" `Quick test_zero_alloc;
           Alcotest.test_case "every scheme single lookup" `Quick test_zero_alloc_single;
+          Alcotest.test_case "steady insert and delete" `Quick test_update_alloc;
         ] );
       ( "interleaved",
         List.map
