@@ -1,13 +1,10 @@
 module Fault = Pk_fault.Fault
 
-type undo =
-  | U_bytes of int * Bytes.t (* offset, saved old content *)
-  | U_alloc of int * int (* off, size: undo by returning to the free list *)
-
-type journal = {
-  mutable undos : undo list; (* newest first *)
-  mutable pending_frees : (int * int) list; (* applied on commit, dropped on abort *)
-}
+(* Undo-log entry kinds: the third int of each (offset, length, kind)
+   triple. *)
+let k_bytes = 0 (* pre-image of [off, off+len), saved in [saved] *)
+let k_alloc = 1 (* allocation: returned to the free list on abort *)
+let k_free = 2 (* deferred free: applied on commit, dropped on abort *)
 
 (* Copy-on-write shadow: pre-images of every 256-byte page overwritten
    since the shadow was attached.  A fixed two-level page table (row
@@ -26,8 +23,17 @@ type t = {
   mutable used : int;
   mutable freed : int; (* bytes currently sitting in free lists *)
   free_lists : (int, int list ref) Hashtbl.t; (* size -> offsets *)
-  free_set : (int, int) Hashtbl.t; (* offset -> size, for double-free detection *)
-  mutable txn : journal option;
+  free_set : (int, int) Hashtbl.t;
+      (* offset -> size of a free block, or [-size] while its free is
+         pending in the open transaction: double-free detection *)
+  mutable frontier : int;
+      (* [used] when the open transaction began, 0 when none is open.
+         Bytes at or above it were zero at [begin_txn], so stores there
+         are not logged. *)
+  mutable log : int array; (* (offset, length, kind) triples, oldest first *)
+  mutable log_len : int; (* ints of [log] in use *)
+  mutable saved : Bytes.t; (* [k_bytes] pre-images, concatenated in log order *)
+  mutable saved_len : int;
   mutable shadows : shadow list;
 }
 
@@ -44,7 +50,11 @@ let create ?(initial_capacity = 64 * 1024) ~name () =
     freed = 0;
     free_lists = Hashtbl.create 16;
     free_set = Hashtbl.create 16;
-    txn = None;
+    frontier = 0;
+    log = [||];
+    log_len = 0;
+    saved = Bytes.empty;
+    saved_len = 0;
     shadows = [];
   }
 
@@ -134,9 +144,12 @@ let capture_range t off len =
     t.shadows
 
 (* Called before every in-place mutation: one load and branch when no
-   snapshot is pinned. *)
+   snapshot is pinned.  Capturing pages, only while one is, allocates
+   them. *)
 let[@inline] capture t off len =
-  match t.shadows with [] -> () | _ :: _ -> if len > 0 then capture_range t off len
+  match t.shadows with
+  | [] -> ()
+  | _ :: _ -> if len > 0 then (capture_range t off len [@pklint.cold])
 
 let[@inline] shadow_page s page =
   let row = Array.get s.rows (page lsr l2_bits) in
@@ -165,25 +178,53 @@ let shadow_blit_to_bytes t s ~src_off ~dst ~dst_off ~len =
     Bytes.unsafe_set dst (dst_off + i) (Char.unsafe_chr (shadow_get_u8 t s (src_off + i)))
   done
 
-(* {2 Undo journal} *)
+(* {2 Undo journal}
 
-let in_txn t = Option.is_some t.txn
+   One flat log, reused across transactions: an int array of
+   (offset, length, kind) triples and a byte buffer holding the
+   pre-images of the [k_bytes] entries.  Both grow by doubling; a
+   transaction that grew them past [retained_log] gives the excess back
+   when it ends, so one large transaction (a compaction logging a whole
+   tree) does not pin its log for the life of the arena. *)
+
+let retained_log = 1 lsl 16
+let in_txn t = t.frontier > 0
 
 let begin_txn t =
   if in_txn t then invalid_arg "Arena.begin_txn: transaction already open";
-  t.txn <- Some { undos = []; pending_frees = [] }
+  t.frontier <- t.used
+
+let grow_log t =
+  let bigger = Array.make ((2 * Array.length t.log) + 48) 0 in
+  Array.blit t.log 0 bigger 0 t.log_len;
+  t.log <- bigger
+
+let grow_saved t len =
+  let bigger = Bytes.create ((2 * Bytes.length t.saved) + len + 256) in
+  Bytes.blit t.saved 0 bigger 0 t.saved_len;
+  t.saved <- bigger
+
+let[@pklint.hot] push_entry t off len kind =
+  if t.log_len + 3 > Array.length t.log then (grow_log t [@pklint.cold]);
+  let i = t.log_len in
+  Array.unsafe_set t.log i off;
+  Array.unsafe_set t.log (i + 1) len;
+  Array.unsafe_set t.log (i + 2) kind;
+  t.log_len <- i + 3
+
+let[@pklint.hot] save_bytes t off len =
+  if t.saved_len + len > Bytes.length t.saved then (grow_saved t len [@pklint.cold]);
+  Bytes.blit t.data off t.saved t.saved_len len;
+  t.saved_len <- t.saved_len + len;
+  push_entry t off len k_bytes
 
 (* Log the current content of [off, off+len) so an abort can restore
-   it.  Called before every in-place mutation while a txn is open. *)
-let[@inline] log_bytes t off len =
-  match t.txn with
-  | None -> ()
-  | Some j -> j.undos <- U_bytes (off, Bytes.sub t.data off len) :: j.undos
-
-let[@inline] log_alloc t off size =
-  match t.txn with
-  | None -> ()
-  | Some j -> j.undos <- U_alloc (off, size) :: j.undos
+   it.  Called before every in-place mutation; a store wholly at or
+   above the frontier overwrites bytes that were zero at [begin_txn]
+   and that only this transaction's allocations can reach, and abort
+   re-zeroes them wholesale instead. *)
+let[@inline] log_bytes t off len = if off < t.frontier then save_bytes t off len
+let[@inline] log_alloc t off size = if in_txn t then push_entry t off size k_alloc
 
 let push_free t off size =
   t.freed <- t.freed + size;
@@ -192,31 +233,61 @@ let push_free t off size =
   | Some cell -> cell := off :: !cell
   | None -> Hashtbl.add t.free_lists size (ref [ off ])
 
+let end_txn t =
+  t.frontier <- 0;
+  t.log_len <- 0;
+  t.saved_len <- 0;
+  if Array.length t.log > retained_log then t.log <- [||];
+  if Bytes.length t.saved > retained_log then t.saved <- Bytes.empty
+
 let commit_txn t =
-  match t.txn with
-  | None -> invalid_arg "Arena.commit_txn: no open transaction"
-  | Some j ->
-      t.txn <- None;
-      (* Deferred frees become real only now: an aborted operation
-         never dismembers nodes it had logically freed. *)
-      List.iter (fun (off, size) -> push_free t off size) (List.rev j.pending_frees)
+  if not (in_txn t) then invalid_arg "Arena.commit_txn: no open transaction";
+  (* Deferred frees become real only now, oldest first: an aborted
+     operation never dismembers nodes it had logically freed. *)
+  let log = t.log in
+  let i = ref 0 in
+  while !i < t.log_len do
+    if log.(!i + 2) = k_free then push_free t log.(!i) log.(!i + 1);
+    i := !i + 3
+  done;
+  end_txn t
 
 let abort_txn t =
-  match t.txn with
-  | None -> invalid_arg "Arena.abort_txn: no open transaction"
-  | Some j ->
-      t.txn <- None;
-      (* Newest-first replay: byte restores land before the enclosing
-         allocation is recycled. *)
-      List.iter
-        (function
-          | U_bytes (off, saved) ->
-              capture t off (Bytes.length saved);
-              Bytes.blit saved 0 t.data off (Bytes.length saved)
-          | U_alloc (off, size) -> push_free t off size)
-        j.undos
+  if not (in_txn t) then invalid_arg "Arena.abort_txn: no open transaction";
+  (* Newest-first replay: byte restores land before the enclosing
+     allocation is recycled, and a block allocated then freed in the
+     transaction ends on the free list. *)
+  let log = t.log in
+  let pos = ref t.saved_len in
+  let i = ref (t.log_len - 3) in
+  while !i >= 0 do
+    let off = log.(!i) and len = log.(!i + 1) and kind = log.(!i + 2) in
+    if kind = k_bytes then begin
+      pos := !pos - len;
+      capture t off len;
+      Bytes.blit t.saved !pos t.data off len
+    end
+    else if kind = k_alloc then push_free t off len
+    else Hashtbl.remove t.free_set off;
+    i := !i - 3
+  done;
+  (* Everything from the frontier up was zero when the transaction
+     began. *)
+  let fresh = t.used - t.frontier in
+  capture t t.frontier fresh;
+  Bytes.fill t.data t.frontier fresh '\000';
+  end_txn t
 
 (* {2 Allocation} *)
+
+(* Fresh bytes at the bump frontier. *)
+let bump t align size =
+  let off = align_up t.used align in
+  if off + size > Bytes.length t.data then Fault.point "arena.grow";
+  grow_to t (off + size);
+  t.used <- off + size;
+  log_alloc t off size;
+  off
 
 let alloc t ?(align = 8) size =
   if size <= 0 then invalid_arg "Arena.alloc: size <= 0";
@@ -230,17 +301,11 @@ let alloc t ?(align = 8) size =
       t.freed <- t.freed - size;
       log_alloc t off size;
       off
-  | Some _ | None ->
-      let off = align_up t.used align in
-      if off + size > Bytes.length t.data then Fault.point "arena.grow";
-      grow_to t (off + size);
-      t.used <- off + size;
-      log_alloc t off size;
-      off
+  | Some _ | None -> bump t align size
 
 (* Reserve a contiguous placement range at the bump frontier.  Always
    fresh bytes — never a recycled free-list block, whose alignment is
-   whatever its original allocation had.  One [U_alloc] record covers
+   whatever its original allocation had.  One [k_alloc] log entry covers
    the whole extent, so a txn abort returns it in one piece.
 
    [?huge] makes the reservation hugepage-aware: the base is aligned to
@@ -261,12 +326,7 @@ let reserve t ?(align = 8) ?huge size =
         (Stdlib.max align h, align_up size h)
   in
   Fault.point "arena.alloc";
-  let off = align_up t.used align in
-  if off + size > Bytes.length t.data then Fault.point "arena.grow";
-  grow_to t (off + size);
-  t.used <- off + size;
-  log_alloc t off size;
-  off
+  bump t align size
 
 (* Claim [off, off+size) at a planner-chosen position.  Two cases:
    inside a live reservation the bytes are already accounted for, so
@@ -279,11 +339,8 @@ let alloc_at t ~off size =
   if off + size > t.used then
     invalid_arg "Arena.alloc_at: region beyond the allocation frontier";
   Fault.point "arena.alloc";
-  (match t.txn with
-  | Some j when List.mem_assoc off j.pending_frees ->
-      invalid_arg "Arena.alloc_at: offset freed in the open transaction"
-  | _ -> ());
   (match Hashtbl.find_opt t.free_set off with
+  | Some fsz when fsz < 0 -> invalid_arg "Arena.alloc_at: offset freed in the open transaction"
   | Some fsz when fsz = size ->
       (match Hashtbl.find_opt t.free_lists size with
       | Some cell -> cell := List.filter (fun (o : int) -> o <> off) !cell
@@ -306,17 +363,14 @@ let fill t ~off ~len c =
 let free t off size =
   if off = null then invalid_arg "Arena.free: null";
   if off < 8 || off + size > t.used then invalid_arg "Arena.free: region outside arena";
-  (match t.txn with
-  | None ->
-      if Hashtbl.mem t.free_set off then
-        invalid_arg (Printf.sprintf "Arena.free: double free of offset %d" off);
-      fill t ~off ~len:size '\000';
-      push_free t off size
-  | Some j ->
-      if Hashtbl.mem t.free_set off || List.mem_assoc off j.pending_frees then
-        invalid_arg (Printf.sprintf "Arena.free: double free of offset %d" off);
-      fill t ~off ~len:size '\000';
-      j.pending_frees <- (off, size) :: j.pending_frees)
+  if Hashtbl.mem t.free_set off then
+    invalid_arg (Printf.sprintf "Arena.free: double free of offset %d" off);
+  fill t ~off ~len:size '\000';
+  if in_txn t then begin
+    Hashtbl.replace t.free_set off (-size);
+    push_entry t off size k_free
+  end
+  else push_free t off size
 
 (* {2 Raw accessors} *)
 

@@ -63,21 +63,40 @@ val alloc_at : t -> off:int -> int -> int
 val free : t -> int -> int -> unit
 (** [free t off size] returns a region to the arena's free list for its
     size class.  The region is zeroed eagerly so stale bytes cannot
-    leak into re-allocations.  Raises [Invalid_argument] on a double
-    free (the offset is already on a free list or pending free) and on
-    regions outside the allocated range. *)
+    leak into re-allocations.  Inside a transaction the free is
+    deferred to commit.  Raises [Invalid_argument] on a double free
+    (the offset is already on a free list or pending free: an O(1)
+    check, however many frees are pending) and on regions outside the
+    allocated range. *)
 
 (** {1 Undo journal} — crash consistency for index maintenance.
 
-    While a transaction is open, every in-place mutation logs the bytes
-    it overwrites, allocations are recorded, and frees are deferred.
-    [abort_txn] restores the arena to its exact state at [begin_txn]
-    (modulo the high-water mark); [commit_txn] applies deferred frees.
+    While a transaction is open, allocations are recorded, frees are
+    deferred, and an in-place mutation logs the bytes it overwrites —
+    unless it lies wholly at or above the bump frontier recorded by
+    [begin_txn]: those bytes were zero then and only this
+    transaction's allocations reach them.  The log is one flat,
+    reused buffer pair, so a steady-state store allocates nothing.
     Transactions do not nest. *)
 
 val begin_txn : t -> unit
+(** Open a transaction and record the bump frontier.
+    @raise Invalid_argument if one is already open. *)
+
 val commit_txn : t -> unit
+(** Apply the deferred frees, oldest first, and close the
+    transaction. *)
+
 val abort_txn : t -> unit
+(** Restore the arena to its exact state at [begin_txn], modulo the
+    high-water mark: logged bytes get their pre-images back (newest
+    first), everything from the recorded frontier up to the current
+    one is re-zeroed, the transaction's allocations go back on the
+    free lists, and its deferred frees are dropped.  Shadows attached
+    before the abort still read their pre-images.  A transaction whose
+    log grew past a fixed size (64 KiB) releases it when it commits or
+    aborts. *)
+
 val in_txn : t -> bool
 
 (** {1 Shadow pages} — copy-on-write snapshot support.

@@ -226,13 +226,15 @@ module Entries = struct
     esz : int;
     entries_at : int;  (* offset of the entry array within a node *)
     cnt : Counters.t;
-    units : bytes;  (* l_bytes window the lookup path reads stored units into *)
+    units : bytes;
+        (* reusable window: the lookup path reads stored units into it,
+           [fix_pk] assembles a partial-key field image in it *)
   }
 
   let make ~name ~reg ~records ~scheme ~entries_at cnt =
     let units =
       match scheme with
-      | Layout.Partial { l_bytes; _ } -> Bytes.create l_bytes
+      | Layout.Partial { l_bytes; _ } -> Bytes.create (Layout.pk_image_bytes ~l_bytes)
       | Layout.Direct _ | Layout.Indirect -> Bytes.empty
     in
     { name; reg; records; scheme; esz = Layout.entry_size scheme; entries_at; cnt; units }
@@ -257,31 +259,47 @@ module Entries = struct
     | Layout.Direct _ | Layout.Indirect -> assert false
 
   let is_partial c = match c.scheme with Layout.Partial _ -> true | _ -> false
+  let[@inline] imin (a : int) b = if a < b then a else b
+  let[@inline] imax (a : int) b = if a > b then a else b
 
-  (* The partial key entry [i] must store.  Its base is the record of
+  (* Re-encode entry [i]'s partial key against its base: the record of
      its predecessor entry, or for entry 0 the record [base] ([null] =
-     the virtual zero key).  Bases travel as record pointers: only here
-     are the two keys read out, and only for partial schemes. *)
-  let encode_pk c node i ~base =
-    let g = granularity c and l = l_bytes c in
-    let key = entry_key c node i in
-    let base = if i = 0 then base else rec_ptr c node (i - 1) in
-    if base = null then Partial_key.encode_initial g ~l_bytes:l ~key
-    else Partial_key.encode g ~l_bytes:l ~base:(Record_store.read_key c.records base) ~key
-
-  (* Recompute the partial key of entry [i] of a node with [n] entries.
-     The caller has checked the scheme is partial. *)
+     the virtual zero key).  Bases travel as record pointers.  The
+     difference offset comes from the two record keys compared in
+     place; the stored units — [l] bytes from the difference byte on,
+     or the [8 l] bits after the difference bit — are read from the
+     record straight into the [units] window behind the field header,
+     and the field is stored with one write.  The caller has checked
+     the scheme is partial. *)
   (* Only called from tree split/merge/insert bodies below an
      established guard — audited escape. *)
-  let[@pklint.guarded] fix_pk c node i ~n ~base =
-    if i >= 0 && i < n then
-      Layout.write_pk c.reg (entry_addr c node i) ~l_bytes:(l_bytes c) (encode_pk c node i ~base)
+  let[@pklint.guarded] [@pklint.hot] fix_pk c node i ~n ~base =
+    if i >= 0 && i < n then begin
+      let l = l_bytes c in
+      let rid = rec_ptr c node i in
+      let base = if i = 0 then base else rec_ptr c node (i - 1) in
+      let bits = match granularity c with Partial_key.Bit -> true | Partial_key.Byte -> false in
+      let d = Record_store.diff_keys c.records rid ~base ~bits in
+      let first = if bits then d + 1 else 8 * d in
+      let width = imin (8 * l) (imax 0 ((8 * Record_store.key_len c.records rid) - first)) in
+      Record_store.read_key_bits c.records rid ~first ~width ~dst:c.units
+        ~dst_off:Layout.pk_image_units ~dst_len:(l + 1);
+      Layout.write_pk_image c.reg (entry_addr c node i) ~image:c.units ~pk_off:d
+        ~pk_len:(if bits then width else width / 8)
+        ~l_bytes:l
+    end
 
-  (* Re-derive entry [i]'s stored partial key from the record keys and
-     fail on mismatch (validators). *)
+  (* Re-derive entry [i]'s stored partial key with the reference
+     encoder over copied-out record keys, and fail on mismatch
+     (validators). *)
   let check_pk c node i ~base =
-    let g = granularity c in
-    let expect = encode_pk c node i ~base in
+    let g = granularity c and l_bytes = l_bytes c in
+    let key = entry_key c node i in
+    let base = if i = 0 then base else rec_ptr c node (i - 1) in
+    let expect =
+      if base = null then Partial_key.encode_initial g ~l_bytes ~key
+      else Partial_key.encode g ~l_bytes ~base:(Record_store.read_key c.records base) ~key
+    in
     let got = Layout.read_pk c.reg (entry_addr c node i) ~granularity:g in
     if
       got.Partial_key.pk_off <> expect.Partial_key.pk_off

@@ -56,17 +56,25 @@ let read_pk_len reg a = Mem.read_u8 reg (a + pk_len_at)
 let read_pk_first_byte reg a =
   if read_pk_len reg a = 0 then -1 else Mem.read_u8 reg (a + pk_bits_at)
 
-let[@pklint.guarded] write_pk reg a ~l_bytes (pk : Partial_key.t) =
-  if pk.pk_off > 0xffff then invalid_arg "Layout.write_pk: pk_off exceeds u16 (key too long)";
-  if pk.pk_len > 0xff then invalid_arg "Layout.write_pk: pk_len exceeds u8";
-  Mem.write_u16 reg (a + pk_off_at) pk.pk_off;
-  Mem.write_u8 reg (a + pk_len_at) pk.pk_len;
-  (* Zero the full field, then lay down the live prefix, so stale bytes
-     from a previous occupant can never be read back. *)
-  let zeros = Bytes.make l_bytes '\000' in
-  Mem.write_bytes reg ~off:(a + pk_bits_at) ~src:zeros ~src_off:0 ~len:l_bytes;
-  let live = Bytes.length pk.pk_bits in
-  if live > 0 then Mem.write_bytes reg ~off:(a + pk_bits_at) ~src:pk.pk_bits ~src_off:0 ~len:live
+(* A partial key is stored from a caller-owned image of the whole
+   field: [pk_off:u16, pk_len:u8, pad:u8] (filled in here), then the
+   [l_bytes] stored units at [pk_image_units], zero past the live
+   ones.  One spare byte lets a bit-granularity window straddle one
+   more key byte before it is shifted into place. *)
+let pk_image_units = pk_bits_at - pk_off_at
+let pk_image_bytes ~l_bytes = pk_image_units + l_bytes + 1
+
+(* One store of the whole field, skipped when it already holds the
+   image. *)
+let[@pklint.guarded] [@pklint.hot] write_pk_image reg a ~image ~pk_off ~pk_len ~l_bytes =
+  if pk_off > 0xffff then invalid_arg "Layout.write_pk_image: pk_off exceeds u16 (key too long)";
+  if pk_len > 0xff then invalid_arg "Layout.write_pk_image: pk_len exceeds u8";
+  Bytes.set_uint16_le image 0 pk_off;
+  Bytes.set_uint8 image 2 pk_len;
+  Bytes.set_uint8 image 3 0;
+  let len = pk_image_units + l_bytes in
+  let p = Mem.compare_detail reg ~off:(a + pk_off_at) ~len image ~key_off:0 ~key_len:len in
+  if Key.packed_sign p <> 0 then Mem.write_bytes reg ~off:(a + pk_off_at) ~src:image ~src_off:0 ~len
 
 (* The stored units are copied into the caller's reusable [units]
    buffer with one [read_into] — one "mem.read" fault point and one

@@ -46,7 +46,21 @@ val read_pk_first_byte : Pk_mem.Mem.region -> int -> int
 (** First stored value byte, [-1] when [pk_len = 0] (used as the
     FINDBITTREE branch unit at byte granularity). *)
 
-val write_pk : Pk_mem.Mem.region -> int -> l_bytes:int -> Pk_partialkey.Partial_key.t -> unit
+val pk_image_units : int
+(** Offset of the stored units within a partial-key field image. *)
+
+val pk_image_bytes : l_bytes:int -> int
+(** Size of a field image buffer: the field plus one spare byte for a
+    bit-granularity window that straddles a byte boundary. *)
+
+val write_pk_image :
+  Pk_mem.Mem.region -> int -> image:bytes -> pk_off:int -> pk_len:int -> l_bytes:int -> unit
+(** Store the partial-key field of the entry at address [a] in one
+    write: [image] holds the stored units (zero past the live ones) at
+    {!pk_image_units}; the header bytes are filled in here.  Skips the
+    store when the field already holds those bytes.
+    @raise Invalid_argument if [pk_off] or [pk_len] overflow their
+    fields. *)
 
 val resolve_pk_units :
   Pk_mem.Mem.region ->

@@ -374,7 +374,11 @@ let insert t key ~rid =
    rebalancing. *)
 let min_bytes t = t.node_bytes / 3
 
-let used_bytes_of t node = packed_size (read_entries t node)
+(* [write_node] packs the heap and stores its low end at [heap_start],
+   so a node's [packed_size] is read off its header, with no entry
+   materialised. *)
+let used_bytes_of t node =
+  dir_at + (2 * num_keys t node) + t.node_bytes - Mem.read_u16 t.reg (node + 6)
 
 (* Children of an internal node as a list: leftmost + separator
    children. *)

@@ -82,9 +82,12 @@ let set_num_keys t node n = Mem.write_u16 t.reg node n
 let node_height t node = if node = null then 0 else Mem.read_u8 t.reg (node + 2)
 let set_node_height t node h = Mem.write_u8 t.reg (node + 2) h
 let left t node = Mem.read_u64 t.reg (node + 8)
-let set_left t node v = Mem.write_u64 t.reg (node + 8) v
 let right t node = Mem.read_u64 t.reg (node + 16)
-let set_right t node v = Mem.write_u64 t.reg (node + 16) v
+
+(* The descent re-stores every level's child pointer; a store that
+   would not change it is skipped, sparing its undo-log entry. *)
+let set_left t node v = if left t node <> v then Mem.write_u64 t.reg (node + 8) v
+let set_right t node v = if right t node <> v then Mem.write_u64 t.reg (node + 16) v
 let height t = node_height t t.root
 let is_leaf t node = left t node = null && right t node = null
 
@@ -158,7 +161,8 @@ let remove_at t node i =
 (* {2 AVL rebalancing} *)
 
 let update_height t node =
-  set_node_height t node (1 + max (node_height t (left t node)) (node_height t (right t node)))
+  let h = 1 + max (node_height t (left t node)) (node_height t (right t node)) in
+  if node_height t node <> h then set_node_height t node h
 
 let balance_factor t node = node_height t (left t node) - node_height t (right t node)
 
@@ -233,13 +237,16 @@ let merge_half_leaf t node =
    half-leaf and the loop stops.  Mutually recursive with [rebalance]
    and the removal helpers it reuses. *)
 let rec slide_fill t node =
+  let slid = ref false in
   if node <> null then
     while left t node <> null && right t node <> null && num_keys t node < t.min_internal do
       Fault.point "ttree.slide";
       let l', (k, rid) = remove_max t (left t node) ~base:(rec_ptr t node 0) in
       set_left t node l';
-      insert_at t node 0 ~key:k ~rid
-    done
+      insert_at t node 0 ~key:k ~rid;
+      slid := true
+    done;
+  !slid
 
 and rebalance t node ~base =
   let bf = balance_factor t node in
@@ -263,14 +270,16 @@ and rebalance t node ~base =
       node
     end
   in
-  slide_fill t node';
+  let slid = slide_fill t node' in
   (* Refilling can shrink the left subtree: refresh the height and
      re-check the balance before publishing the new root. *)
   update_height t node';
-  let node' = if abs (balance_factor t node') > 1 then rebalance t node' ~base else node' in
-  (* Sliding can change key[0] of the new root and its children. *)
-  if is_partial t then fix_pk0_and_children t node' ~base;
-  node'
+  let node'' = if abs (balance_factor t node') > 1 then rebalance t node' ~base else node' in
+  (* Only a rotation (a new subtree root, based on [base]) or a slide
+     (a new key[0], the base of both children) re-bases an entry 0
+     here; the callers refresh the entries they changed themselves. *)
+  if is_partial t && (slid || node'' <> node) then fix_pk0_and_children t node'' ~base;
+  node''
 
 (* Lehman–Carey case analysis after removing an entry from a node:
    - internal (two children) below minimum occupancy: refill with the
@@ -340,15 +349,10 @@ let new_leaf t ~key ~rid ~base =
 let rec insert_max t node ~key ~rid ~base =
   if node = null then new_leaf t ~key ~rid ~base
   else begin
-    (if right t node <> null then begin
-       let r = insert_max t (right t node) ~key ~rid ~base:(rec_ptr t node 0) in
-       set_right t node r
-     end
-     else if num_keys t node < t.max_entries then insert_at t node (num_keys t node) ~key ~rid
-     else begin
-       let r = new_leaf t ~key ~rid ~base:(rec_ptr t node 0) in
-       set_right t node r
-     end);
+    (* A full node without a right child gets a new right leaf. *)
+    (if right t node = null && num_keys t node < t.max_entries then
+       insert_at t node (num_keys t node) ~key ~rid
+     else set_right t node (insert_max t (right t node) ~key ~rid ~base:(rec_ptr t node 0)));
     rebalance t node ~base
   end
 
@@ -380,22 +384,19 @@ let rec insert_rec t node key rid ~base =
     let c0 = Entries.probe_sign t.ec node key 0 in
     if c0 = 0 then raise Duplicate
     else if c0 < 0 then begin
-      if left t node <> null then
-        set_left t node (insert_rec t (left t node) key rid ~base:(rec_ptr t node 0))
-      else if n < t.max_entries then begin
+      (* A full node without a left child gets a new left leaf. *)
+      if left t node = null && n < t.max_entries then begin
         insert_at t node 0 ~key ~rid;
         fix_pk0_and_children t node ~base
       end
-      else set_left t node (new_leaf t ~key ~rid ~base:(rec_ptr t node 0))
+      else set_left t node (insert_rec t (left t node) key rid ~base:(rec_ptr t node 0))
     end
     else begin
       let cl = last_sign t node key ~n ~c0 in
       if cl = 0 then raise Duplicate
       else if cl > 0 then begin
-        if right t node <> null then
-          set_right t node (insert_rec t (right t node) key rid ~base:(rec_ptr t node 0))
-        else if n < t.max_entries then insert_at t node n ~key ~rid
-        else set_right t node (new_leaf t ~key ~rid ~base:(rec_ptr t node 0))
+        if right t node = null && n < t.max_entries then insert_at t node n ~key ~rid
+        else set_right t node (insert_rec t (right t node) key rid ~base:(rec_ptr t node 0))
       end
       else begin
         (* Bounding node: the key lies strictly between entries 0 and
@@ -429,7 +430,6 @@ let insert t key ~rid =
       match insert_rec t t.root key rid ~base:null with
       | root ->
           t.root <- root;
-          fix_pk0_and_children t t.root ~base:null;
           t.n_keys <- t.n_keys + 1;
           true
       | exception Duplicate -> false)
@@ -460,14 +460,15 @@ let rec delete_rec t node key ~base =
         let r = if c0 = 0 then lnot 0 else Entries.search t.ec node key 1 n in
         if r >= 0 then raise Not_present;
         remove_at t node (lnot r);
-        fix_after_removal t node ~base
+        (* The removal can change key[0] or replace the node by its
+           child: re-base the survivor here.  Above this level only
+           child pointers change, and each level re-based its own. *)
+        let node = fix_after_removal t node ~base in
+        fix_pk0_and_children t node ~base;
+        node
       end
     in
-    if node = null then null
-    else begin
-      fix_pk0_and_children t node ~base;
-      rebalance t node ~base
-    end
+    if node = null then null else rebalance t node ~base
   end
 
 let delete t key =
@@ -475,7 +476,6 @@ let delete t key =
       match delete_rec t t.root key ~base:null with
       | root ->
           t.root <- root;
-          fix_pk0_and_children t t.root ~base:null;
           t.n_keys <- t.n_keys - 1;
           true
       | exception Not_present -> false)

@@ -1,7 +1,8 @@
-(* zero-alloc-hot: a function marked [@pklint.hot] is on the batched
-   lookup path whose steady state must not touch the OCaml heap (the
-   contract test_batch asserts dynamically via [Gc.minor_words], but
-   only on the schemes and inputs it runs).  The rule rejects every
+(* zero-alloc-hot: a function marked [@pklint.hot] is on a path whose
+   steady state must not touch the OCaml heap — the batched lookup
+   path, the undo log's append and the in-place partial-key encoder
+   (the contract test_batch asserts dynamically via [Gc.minor_words],
+   but only on the schemes and inputs it runs).  The rule rejects every
    syntactically allocating expression in the marked function's body —
    closures, tuples, boxed constructors, records, arrays, lazy values,
    partial applications, and calls to known allocating stdlib
@@ -29,7 +30,7 @@ let check ~scope (g : Callgraph.t) =
           findings :=
             Finding.v ~rule:id ~file:n.Callgraph.src ~loc ~name:n.Callgraph.nid
               (Printf.sprintf
-                 "%s in [@pklint.hot] function; the batched lookup path must not allocate — \
+                 "%s in [@pklint.hot] function; a hot path must not allocate — \
                   restructure, or mark the expression [@pklint.cold] if it is an error path"
                  what)
             :: !findings

@@ -270,6 +270,128 @@ let test_txn_nesting_rejected () =
   Alcotest.check_raises "commit without txn"
     (Invalid_argument "Arena.commit_txn: no open transaction") (fun () -> Arena.commit_txn a)
 
+(* {2 Abort contract, byte for byte}
+
+   The undo log records only what an abort needs: bytes below the bump
+   frontier of [begin_txn] are logged before they are overwritten,
+   bytes at or above it were zero then and are re-zeroed wholesale. *)
+
+let image a = Arena.sub_bytes a ~off:0 ~len:(Arena.used_bytes a)
+
+(* Everything below the old frontier reads back as it was, everything
+   from there to the current frontier reads zero. *)
+let check_unwound a before =
+  let n = Bytes.length before in
+  Alcotest.(check string) "bytes below the frontier restored" (Bytes.to_string before)
+    (Bytes.to_string (Arena.sub_bytes a ~off:0 ~len:n));
+  let fresh = Arena.used_bytes a - n in
+  Alcotest.(check string) "bytes above the frontier zeroed" (String.make fresh '\000')
+    (Bytes.to_string (Arena.sub_bytes a ~off:n ~len:fresh))
+
+let test_abort_fresh_zeroed () =
+  let a = make () in
+  let o0 = Arena.alloc a 16 in
+  Arena.set_u64 a o0 0x0102030405060708;
+  let before = image a in
+  Arena.begin_txn a;
+  let o = Arena.alloc a 64 in
+  Arena.blit_from_bytes a ~src:(Bytes.make 64 'z') ~src_off:0 ~dst_off:o ~len:64;
+  Arena.set_u16 a (o + 3) 0xffff;
+  Arena.abort_txn a;
+  check_unwound a before;
+  Alcotest.(check int) "fresh block reused" o (Arena.alloc a 64)
+
+let test_abort_straddling_store () =
+  let a = make () in
+  let o1 = Arena.alloc a 16 in
+  Arena.blit_from_bytes a ~src:(Bytes.of_string "ABCDEFGHIJKLMNOP") ~src_off:0 ~dst_off:o1 ~len:16;
+  let before = image a in
+  Alcotest.(check int) "frontier right after the block" (o1 + 16) (Arena.used_bytes a);
+  Arena.begin_txn a;
+  let o2 = Arena.alloc a 16 in
+  Alcotest.(check int) "fresh block right after the frontier" (o1 + 16) o2;
+  (* 8 bytes below the frontier, 8 above. *)
+  Arena.blit_from_bytes a ~src:(Bytes.make 16 '#') ~src_off:0 ~dst_off:(o1 + 8) ~len:16;
+  Arena.set_u64 a o1 (-1);
+  Arena.abort_txn a;
+  check_unwound a before
+
+let test_abort_recycled_block () =
+  let a = make () in
+  let o = Arena.alloc a 48 in
+  ignore (Arena.alloc a 16);
+  Arena.fill a ~off:o ~len:48 'q';
+  Arena.free a o 48;
+  let before = image a in
+  Arena.begin_txn a;
+  let r = Arena.alloc a 48 in
+  Alcotest.(check int) "free-list block recycled below the frontier" o r;
+  Arena.fill a ~off:r ~len:48 'w';
+  Arena.abort_txn a;
+  check_unwound a before;
+  Alcotest.(check int) "back on the free list" o (Arena.alloc a 48)
+
+let test_abort_after_large_txn () =
+  let a = make () in
+  let big = 256 * 1024 in
+  let o = Arena.alloc a big in
+  Arena.fill a ~off:o ~len:big 'a';
+  (* A transaction that logs far more than the log keeps afterwards. *)
+  Arena.begin_txn a;
+  Arena.fill a ~off:o ~len:big 'b';
+  Arena.commit_txn a;
+  let before = image a in
+  Arena.begin_txn a;
+  Arena.fill a ~off:o ~len:big 'c';
+  Arena.abort_txn a;
+  check_unwound a before;
+  (* ... and a small one after that unwinds exactly too. *)
+  Arena.begin_txn a;
+  Arena.set_u32 a (o + 5) 0xdeadbeef;
+  Arena.blit_within a ~src_off:o ~dst_off:(o + 3) ~len:100;
+  let f = Arena.alloc a 32 in
+  Arena.set_u64 a f 42;
+  Arena.abort_txn a;
+  check_unwound a before
+
+let test_abort_keeps_shadow () =
+  let a = make () in
+  let o = Arena.alloc a 32 in
+  Arena.blit_from_bytes a ~src:(Bytes.of_string "0123456789abcdef") ~src_off:0 ~dst_off:o ~len:16;
+  let before = image a in
+  let s = Arena.shadow_attach a in
+  Arena.begin_txn a;
+  Arena.fill a ~off:o ~len:32 'x';
+  let f = Arena.alloc a 512 in
+  Arena.fill a ~off:f ~len:512 'y';
+  Arena.abort_txn a;
+  check_unwound a before;
+  let n = Arena.used_bytes a in
+  let seen = Bytes.create n in
+  Arena.shadow_blit_to_bytes a s ~src_off:0 ~dst:seen ~dst_off:0 ~len:n;
+  Alcotest.(check string) "shadow reads pre-images"
+    (Bytes.to_string before ^ String.make (n - Bytes.length before) '\000')
+    (Bytes.to_string seen);
+  Arena.shadow_detach a s
+
+let test_double_free_many_pending () =
+  let a = make () in
+  let n = 10_000 in
+  let blocks = Array.init (n + 1) (fun _ -> Arena.alloc a 16) in
+  Arena.begin_txn a;
+  for i = 0 to n - 1 do
+    Arena.free a blocks.(i) 16
+  done;
+  Alcotest.check_raises "double free caught among pending frees"
+    (Invalid_argument (Printf.sprintf "Arena.free: double free of offset %d" blocks.(0)))
+    (fun () -> Arena.free a blocks.(0) 16);
+  Alcotest.check_raises "pending free blocks reclaim"
+    (Invalid_argument "Arena.alloc_at: offset freed in the open transaction") (fun () ->
+      ignore (Arena.alloc_at a ~off:blocks.(n - 1) 16));
+  Arena.free a blocks.(n) 16;
+  Arena.commit_txn a;
+  Alcotest.(check int) "every pending free landed" 8 (Arena.live_bytes a)
+
 let () =
   Alcotest.run "pk_arena"
     [
@@ -299,5 +421,12 @@ let () =
           Alcotest.test_case "abort returns allocations" `Quick test_txn_abort_returns_allocations;
           Alcotest.test_case "frees deferred to commit" `Quick test_txn_frees_deferred;
           Alcotest.test_case "nesting rejected" `Quick test_txn_nesting_rejected;
+          Alcotest.test_case "fresh bump memory re-zeroed" `Quick test_abort_fresh_zeroed;
+          Alcotest.test_case "store straddling the frontier" `Quick test_abort_straddling_store;
+          Alcotest.test_case "recycled block pre-image" `Quick test_abort_recycled_block;
+          Alcotest.test_case "after a transaction past the log cap" `Quick
+            test_abort_after_large_txn;
+          Alcotest.test_case "shadow keeps pre-images" `Quick test_abort_keeps_shadow;
+          Alcotest.test_case "double free among 10k pending" `Quick test_double_free_many_pending;
         ] );
     ]

@@ -44,10 +44,20 @@ let test_direct_key_roundtrip () =
   Layout.write_direct_key r a k;
   Alcotest.check Support.key_testable "roundtrip" k (Layout.read_direct_key r a ~key_len:20)
 
+(* Store a partial key through the one-write field image the trees
+   use, with stale bytes past the live units in the image. *)
+let write_pk r a ~l_bytes (pk : Partial_key.t) =
+  let image = Bytes.make (Layout.pk_image_bytes ~l_bytes) '\xff' in
+  Bytes.fill image Layout.pk_image_units l_bytes '\000';
+  Bytes.blit pk.Partial_key.pk_bits 0 image Layout.pk_image_units
+    (Bytes.length pk.Partial_key.pk_bits);
+  Layout.write_pk_image r a ~image ~pk_off:pk.Partial_key.pk_off ~pk_len:pk.Partial_key.pk_len
+    ~l_bytes
+
 let roundtrip_pk g ~l_bytes pk =
   let r = region () in
   let a = Mem.alloc r 64 in
-  Layout.write_pk r a ~l_bytes pk;
+  write_pk r a ~l_bytes pk;
   Layout.read_pk r a ~granularity:g
 
 let test_pk_roundtrip_byte () =
@@ -70,7 +80,7 @@ let test_pk_field_bounds () =
   let a = Mem.alloc r 64 in
   Alcotest.(check bool) "pk_off overflow rejected" true
     (try
-       Layout.write_pk r a ~l_bytes:2
+       write_pk r a ~l_bytes:2
          { Partial_key.pk_off = 70_000; pk_len = 0; pk_bits = Bytes.empty };
        false
      with Invalid_argument _ -> true)
@@ -78,9 +88,9 @@ let test_pk_field_bounds () =
 let test_pk_first_byte () =
   let r = region () in
   let a = Mem.alloc r 64 in
-  Layout.write_pk r a ~l_bytes:2 { Partial_key.pk_off = 1; pk_len = 2; pk_bits = Bytes.of_string "AB" };
+  write_pk r a ~l_bytes:2 { Partial_key.pk_off = 1; pk_len = 2; pk_bits = Bytes.of_string "AB" };
   Alcotest.(check int) "first byte" (Char.code 'A') (Layout.read_pk_first_byte r a);
-  Layout.write_pk r a ~l_bytes:2 { Partial_key.pk_off = 1; pk_len = 0; pk_bits = Bytes.empty };
+  write_pk r a ~l_bytes:2 { Partial_key.pk_off = 1; pk_len = 0; pk_bits = Bytes.empty };
   Alcotest.(check int) "empty -> -1" (-1) (Layout.read_pk_first_byte r a)
 
 (* resolve_pk_units over the stored form agrees with
@@ -97,7 +107,7 @@ let prop_resolve_units_equiv seed =
     let pk = Partial_key.encode g ~l_bytes ~base ~key in
     let r = region () in
     let a = Mem.alloc r 64 in
-    Layout.write_pk r a ~l_bytes pk;
+    write_pk r a ~l_bytes pk;
     let rel = if Prng.bool rng then Key.Gt else Key.Eq in
     let off = pk.Partial_key.pk_off in
     let expect =
