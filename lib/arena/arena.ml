@@ -415,16 +415,25 @@ let blit_within t ~src_off ~dst_off ~len =
   capture t dst_off len;
   Bytes.blit t.data src_off t.data dst_off len
 
-let compare_with_bytes t ~off b ~b_off ~len =
-  let rec loop i =
-    if i = len then 0
-    else
-      let a = Char.code (Bytes.unsafe_get t.data (off + i)) in
-      let c = Char.code (Bytes.unsafe_get b (b_off + i)) in
-      if a <> c then compare a c else loop (i + 1)
-  in
-  if off + len > Bytes.length t.data || b_off + len > Bytes.length b then
-    invalid_arg "Arena.compare_with_bytes: out of bounds";
-  loop 0
+(* Unaligned 64-bit loads for the word scans, bounds checked by their
+   callers.  The scans only ask whether two words are equal, so byte
+   order is irrelevant, and the [%equal] at [int64] compiles to an
+   unboxed compare: the scan never touches the heap. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external word_eq : int64 -> int64 -> bool = "%equal"
+
+let[@pklint.hot] rec words_scan a a_off b b_off last i =
+  if i > last || not (word_eq (get64u a (a_off + i)) (get64u b (b_off + i))) then i
+  else words_scan a a_off b b_off last (i + 8)
+
+(* A range that is not wholly in bounds skips nothing: the caller's
+   byte loop then reads, and fails, exactly where it always did. *)
+let[@pklint.hot] equal_words_in a a_off b b_off len =
+  if a_off < 0 || b_off < 0 || a_off + len > Bytes.length a || b_off + len > Bytes.length b
+  then 0
+  else words_scan a a_off b b_off (len - 8) 0
+
+let[@pklint.hot] equal_words t ~off b ~b_off ~len = equal_words_in t.data off b b_off len
+let[@pklint.hot] equal_words_within t ~off ~off2 ~len = equal_words_in t.data off t.data off2 len
 
 let sub_bytes t ~off ~len = Bytes.sub t.data off len

@@ -168,9 +168,17 @@ val blit_to_bytes : t -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> u
 val blit_within : t -> src_off:int -> dst_off:int -> len:int -> unit
 (** [blit_within] handles overlapping regions correctly. *)
 
-val compare_with_bytes : t -> off:int -> bytes -> b_off:int -> len:int -> int
-(** Lexicographic (unsigned byte) comparison of the arena region
-    against a slice of [bytes]; negative/zero/positive like [compare].  *)
+val equal_words : t -> off:int -> bytes -> b_off:int -> len:int -> int
+(** [equal_words t ~off b ~b_off ~len] is the number of leading bytes
+    over which the arena region [\[off, off+len)] and
+    [b\[b_off, b_off+len)] agree word by word: a multiple of 8, found
+    by stopping at the first unequal 8-byte word or when fewer than 8
+    bytes remain.  It is 0 when either range is not wholly in bounds.
+    The word skip of the in-place key comparisons; callers finish the
+    scan byte by byte.  Allocation-free. *)
+
+val equal_words_within : t -> off:int -> off2:int -> len:int -> int
+(** {!val:equal_words} of two regions of the same arena. *)
 
 val sub_bytes : t -> off:int -> len:int -> bytes
 (** Copy a region out as fresh [bytes]. *)

@@ -244,16 +244,36 @@ let rec insert_nonfull t node key rid ~base =
     pos >= 0 && insert_nonfull t (child t node pos) key rid ~base:(child_base t node pos ~base)
   end
 
-let save t = (t.root, t.tree_height, t.n_nodes, t.n_keys)
+let header : t Engine.header =
+  {
+    get = (fun t i -> match i with 0 -> t.root | 1 -> t.tree_height | 2 -> t.n_nodes | _ -> t.n_keys);
+    set =
+      (fun t i v ->
+        match i with
+        | 0 -> t.root <- v
+        | 1 -> t.tree_height <- v
+        | 2 -> t.n_nodes <- v
+        | _ -> t.n_keys <- v);
+  }
 
-let restore t (root, h, nn, nk) =
-  t.root <- root;
-  t.tree_height <- h;
-  t.n_nodes <- nn;
-  t.n_keys <- nk
+let guarded t op a b = Engine.guarded ~reg:t.reg ~cnt:(cnt t) header op t a b
 
-let guarded t f =
-  Engine.guarded ~reg:t.reg ~cnt:(cnt t) ~save:(fun () -> save t) ~restore:(restore t) f
+let insert_op t key rid =
+  if t.root = null then begin
+    t.root <- alloc_node t ~leaf:true;
+    t.tree_height <- 1
+  end;
+  if num_keys t t.root = capacity t t.root then begin
+    let new_root = alloc_node t ~leaf:false in
+    set_child t new_root 0 t.root;
+    split_child t new_root 0;
+    fix_pk_after_separator t new_root 0 ~base:null;
+    t.root <- new_root;
+    t.tree_height <- t.tree_height + 1
+  end;
+  let ok = insert_nonfull t t.root key rid ~base:null in
+  if ok then t.n_keys <- t.n_keys + 1;
+  ok
 
 let insert t key ~rid =
   (match t.cfg.scheme with
@@ -262,22 +282,7 @@ let insert t key ~rid =
         (Printf.sprintf "Btree.insert: direct scheme expects %d-byte keys, got %d" key_len
            (Bytes.length key))
   | _ -> ());
-  guarded t (fun () ->
-      if t.root = null then begin
-        t.root <- alloc_node t ~leaf:true;
-        t.tree_height <- 1
-      end;
-      if num_keys t t.root = capacity t t.root then begin
-        let new_root = alloc_node t ~leaf:false in
-        set_child t new_root 0 t.root;
-        split_child t new_root 0;
-        fix_pk_after_separator t new_root 0 ~base:null;
-        t.root <- new_root;
-        t.tree_height <- t.tree_height + 1
-      end;
-      let ok = insert_nonfull t t.root key rid ~base:null in
-      if ok then t.n_keys <- t.n_keys + 1;
-      ok)
+  guarded t insert_op key rid
 
 (* {2 Lookup hooks}
 
@@ -507,30 +512,28 @@ let rec delete_rec t node key ~base =
     else delete_rec t (child t node r) key ~base:(child_base t node r ~base)
   end
 
-let delete t key =
-  if t.root = null then false
-  else
-    guarded t (fun () ->
-        let ok = delete_rec t t.root key ~base:null in
-        if ok then t.n_keys <- t.n_keys - 1;
-        (* Shrink the root when it empties.  Not gated on [ok]: the
-           preemptive rebalancing of the descent can merge the root's
-           only two children even when the key then turns out to be
-           absent. *)
-        if num_keys t t.root = 0 then
-          if is_leaf t t.root then begin
-            free_node t t.root;
-            t.root <- null;
-            t.tree_height <- 0
-          end
-          else begin
-            let only = child t t.root 0 in
-            free_node t t.root;
-            t.root <- only;
-            t.tree_height <- t.tree_height - 1;
-            refresh_chain t t.root ~base:null
-          end;
-        ok)
+let delete_op t key () =
+  let ok = delete_rec t t.root key ~base:null in
+  if ok then t.n_keys <- t.n_keys - 1;
+  (* Shrink the root when it empties.  Not gated on [ok]: the
+     preemptive rebalancing of the descent can merge the root's only
+     two children even when the key then turns out to be absent. *)
+  if num_keys t t.root = 0 then
+    if is_leaf t t.root then begin
+      free_node t t.root;
+      t.root <- null;
+      t.tree_height <- 0
+    end
+    else begin
+      let only = child t t.root 0 in
+      free_node t t.root;
+      t.root <- only;
+      t.tree_height <- t.tree_height - 1;
+      refresh_chain t t.root ~base:null
+    end;
+  ok
+
+let delete t key = if t.root = null then false else guarded t delete_op key ()
 
 (* {2 Bottom-up bulk load}
 
@@ -750,15 +753,13 @@ let clear t =
 
 module Structure = struct
   type nonrec t = t
-  type snap = int * int * int * int
 
   let name = "Btree"
   let region t = t.reg
   let counters = cnt
   let scratch t = t.sc
   let root t = t.root
-  let save = save
-  let restore = restore
+  let header = header
   let insert = insert
   let delete = delete
 

@@ -192,22 +192,48 @@ end
 
 (* {2 Fault-guard wrapping}
 
-   Exception safety for the maintenance paths: snapshot the scalar
-   header ([save]), run the operation under the arena undo journal, and
+   Exception safety for the maintenance paths: keep the scalar header
+   in locals, run the operation under the arena undo journal, and
    restore both on any exception (an injected fault, an allocation
    failure).  The caller observes either the completed operation or the
-   exact pre-operation tree. *)
+   exact pre-operation tree.  The operation is a function and its
+   arguments rather than a thunk, and the header is saved field by
+   field rather than as a tuple, so a single-key mutation's scope
+   allocates nothing. *)
 
-let guarded ~reg ~cnt ~save ~restore f =
-  if not (Fault.unwind_enabled ()) then f ()
+type 'a header = { get : 'a -> int -> int; set : 'a -> int -> int -> unit }
+
+let guarded ~reg ~cnt h op t a b =
+  if not (Fault.unwind_enabled ()) then op t a b
   else begin
-    let s = save () in
-    try Mem.guard reg f
+    let h0 = h.get t 0 and h1 = h.get t 1 and h2 = h.get t 2 and h3 = h.get t 3 in
+    try Mem.guard reg op t a b
     with e ->
       Counters.unwind cnt;
-      restore s;
+      h.set t 0 h0;
+      h.set t 1 h1;
+      h.set t 2 h2;
+      h.set t 3 h3;
       raise e
   end
+
+let run_thunk _ f () = f ()
+
+(* The writer's side of a seqlock: [ver] is odd while [op t a b] runs
+   and even again once it returns or raises.  The operation is called
+   directly rather than through a thunk, so a single-key mutation
+   allocates nothing here.  The seqlock automaton reads the unwind
+   arm's closing bump as a reopening — it does not join the arms of a
+   match (DESIGN.md §16) — hence the allow. *)
+let[@pklint.allow "seqlock-protocol"] mutating ver op t a b =
+  Atomic.incr ver;
+  match op t a b with
+  | v ->
+      Atomic.incr ver;
+      v
+  | exception e ->
+      Atomic.incr ver;
+      raise e
 
 (* {2 Entry-layout helpers}
 
@@ -777,9 +803,6 @@ let recover ?(gap = 0.1) ~build ~store_insert ~store_delete journal =
 
 module type STRUCTURE = sig
   type t
-  type snap
-  (** Scalar-header snapshot for fault unwinding. *)
-
   val name : string
   (** Error-message prefix, e.g. ["Btree"]. *)
 
@@ -787,8 +810,8 @@ module type STRUCTURE = sig
   val counters : t -> Counters.t
   val scratch : t -> Scratch.t
   val root : t -> int
-  val save : t -> snap
-  val restore : t -> snap -> unit
+  val header : t header
+  (** The scalar header an unwind restores. *)
 
   (** Single-key mutations (the tree's own update logic). *)
 
@@ -854,10 +877,7 @@ end
 (* {2 The engine proper} *)
 
 module Make (S : STRUCTURE) = struct
-  let guarded t f =
-    guarded ~reg:(S.region t) ~cnt:(S.counters t)
-      ~save:(fun () -> S.save t)
-      ~restore:(S.restore t) f
+  let guarded t f = guarded ~reg:(S.region t) ~cnt:(S.counters t) S.header run_thunk t f ()
 
   let[@pklint.hot] lookup_into t keys out =
     let n = Array.length keys in
@@ -1035,6 +1055,9 @@ module Make (S : STRUCTURE) = struct
           bulk_load_plan t ~gap entries)
     end
 
+  let insert_op t key rid = S.insert t key ~rid
+  let delete_op t key () = S.delete t key
+
   (* A snapshot is the ordinary wrap of a snapshot-view clone — the
      read paths (group descent included) aimed at the view regions —
      made read-only at the live index's pin-time version word. *)
@@ -1059,27 +1082,26 @@ module Make (S : STRUCTURE) = struct
        mutator that unwinds still republishes an (advanced) even value,
        so readers racing an aborted mutation conservatively restart. *)
     let ver = Atomic.make 0 in
-    let mutating f =
-      Atomic.incr ver;
-      Fun.protect ~finally:(fun () -> Atomic.incr ver) f
-    in
+    let mutating op a b = mutating ver op t a b in
     {
       tag;
-      insert = (fun key ~rid -> mutating (fun () -> S.insert t key ~rid));
+      insert = (fun key ~rid -> mutating insert_op key rid);
       lookup = lookup t;
-      delete = (fun key -> mutating (fun () -> S.delete t key));
+      delete = (fun key -> mutating delete_op key ());
       lookup_into = lookup_into t;
-      insert_batch = (fun keys ~rids -> mutating (fun () -> insert_batch t keys ~rids));
-      delete_batch = (fun keys -> mutating (fun () -> delete_batch t keys));
+      insert_batch = (fun keys ~rids -> mutating run_thunk (fun () -> insert_batch t keys ~rids) ());
+      delete_batch = (fun keys -> mutating run_thunk (fun () -> delete_batch t keys) ());
       of_sorted =
         (fun ?gap ~fill entries ->
-          mutating (fun () -> last_plan := bulk_load_plan t ?gap ~fill entries));
+          mutating run_thunk (fun () -> last_plan := bulk_load_plan t ?gap ~fill entries) ());
       compact =
         (fun ?gap () ->
-          mutating (fun () ->
+          mutating run_thunk
+            (fun () ->
               match compact t ?gap () with
               | None -> ()
-              | Some _ as plan -> last_plan := plan));
+              | Some _ as plan -> last_plan := plan)
+            ());
       iter = iter t;
       range = (fun ~lo ~hi f -> range t ~lo ~hi f);
       seq_from = seq_from t;

@@ -102,16 +102,24 @@ module Scratch : sig
       {!Partial_key.initial_state}. *)
 end
 
+type 'a header = { get : 'a -> int -> int; set : 'a -> int -> int -> unit }
+(** A tree's scalar header (root, height, node and key counts): at most
+    four ints, field [i] read by [get t i] and written by [set t i v].
+    Past a tree's last field [get] returns 0 and [set] does nothing. *)
+
 val guarded :
   reg:Mem.region ->
   cnt:Counters.t ->
-  save:(unit -> 'a) ->
-  restore:('a -> unit) ->
-  (unit -> 'b) ->
-  'b
-(** Run [f] under the arena undo journal with a scalar-header snapshot,
-    restoring both on any exception (counted as one unwind against
-    [cnt]).  A no-op wrapper when unwinding is disabled. *)
+  'a header ->
+  ('a -> 'b -> 'c -> 'd) ->
+  'a ->
+  'b ->
+  'c ->
+  'd
+(** [guarded ~reg ~cnt h op t a b] runs [op t a b] under the arena undo
+    journal with [t]'s header kept in locals, restoring both on any
+    exception (counted as one unwind against [cnt]).  Allocates
+    nothing; a direct call when unwinding is disabled. *)
 
 (** Scheme-dependent entry helpers shared by the fixed-size-entry trees
     (B-tree, T-tree): address arithmetic, key access, partial-key
@@ -369,16 +377,12 @@ val recover :
 module type STRUCTURE = sig
   type t
 
-  type snap
-  (** Scalar-header snapshot for fault unwinding. *)
-
   val name : string
   val region : t -> Mem.region
   val counters : t -> Counters.t
   val scratch : t -> Scratch.t
   val root : t -> int
-  val save : t -> snap
-  val restore : t -> snap -> unit
+  val header : t header
   val insert : t -> Key.t -> rid:int -> bool
   val delete : t -> Key.t -> bool
 

@@ -332,41 +332,46 @@ let rec insert_rec t node key rid =
         end
   end
 
-(* Exception safety: scalar snapshot + arena undo journal, as in
+(* Exception safety: scalar header + arena undo journal, as in
    {!module:Btree}. *)
-let save t = (t.root, t.tree_height, t.n_nodes, t.n_keys)
+let header : t Engine.header =
+  {
+    get = (fun t i -> match i with 0 -> t.root | 1 -> t.tree_height | 2 -> t.n_nodes | _ -> t.n_keys);
+    set =
+      (fun t i v ->
+        match i with
+        | 0 -> t.root <- v
+        | 1 -> t.tree_height <- v
+        | 2 -> t.n_nodes <- v
+        | _ -> t.n_keys <- v);
+  }
 
-let restore t (root, h, nn, nk) =
-  t.root <- root;
-  t.tree_height <- h;
-  t.n_nodes <- nn;
-  t.n_keys <- nk
+let guarded t op a b = Engine.guarded ~reg:t.reg ~cnt:t.cnt header op t a b
 
-let guarded t f =
-  Engine.guarded ~reg:t.reg ~cnt:t.cnt ~save:(fun () -> save t) ~restore:(restore t) f
+let insert_op t key rid =
+  if t.root = null then begin
+    t.root <- alloc_node t ~leaf:true;
+    t.tree_height <- 1
+  end;
+  match insert_rec t t.root key rid with
+  | No_split ->
+      t.n_keys <- t.n_keys + 1;
+      true
+  | Split (sep, rnode) ->
+      let new_root = alloc_node t ~leaf:false in
+      write_node t new_root ~leaf:false ~link_v:t.root [ (sep, rnode) ];
+      t.root <- new_root;
+      t.tree_height <- t.tree_height + 1;
+      t.n_keys <- t.n_keys + 1;
+      true
+  | exception Duplicate -> false
 
 let insert t key ~rid =
   if rec_overhead + Bytes.length key > max_entry_bytes t then
     invalid_arg
       (Printf.sprintf "Prefix_btree.insert: %d-byte key cannot fit a %d-byte node"
          (Bytes.length key) t.node_bytes);
-  guarded t (fun () ->
-      if t.root = null then begin
-        t.root <- alloc_node t ~leaf:true;
-        t.tree_height <- 1
-      end;
-      match insert_rec t t.root key rid with
-      | No_split ->
-          t.n_keys <- t.n_keys + 1;
-          true
-      | Split (sep, rnode) ->
-          let new_root = alloc_node t ~leaf:false in
-          write_node t new_root ~leaf:false ~link_v:t.root [ (sep, rnode) ];
-          t.root <- new_root;
-          t.tree_height <- t.tree_height + 1;
-          t.n_keys <- t.n_keys + 1;
-          true
-      | exception Duplicate -> false)
+  guarded t insert_op key rid
 
 (* {2 Delete} *)
 
@@ -506,34 +511,33 @@ let rec delete_rec t node key =
     if num_keys t child = 0 || used_bytes_of t child < min_bytes t then rebalance_child t node ci
   end
 
-let delete t key =
-  if t.root = null then false
-  else
-    guarded t (fun () ->
-    match delete_rec t t.root key with
-    | () ->
-        t.n_keys <- t.n_keys - 1;
-        (* Collapse the root. *)
-        let rec shrink () =
-          if t.root <> null then
-            if is_leaf t t.root then begin
-              if num_keys t t.root = 0 then begin
-                free_node t t.root;
-                t.root <- null;
-                t.tree_height <- 0
-              end
-            end
-            else if num_keys t t.root = 0 then begin
-              let only = link t t.root in
-              free_node t t.root;
-              t.root <- only;
-              t.tree_height <- t.tree_height - 1;
-              shrink ()
-            end
-        in
-        shrink ();
-        true
-    | exception Not_present -> false)
+(* Collapse emptied roots. *)
+let rec shrink t =
+  if t.root <> null then
+    if is_leaf t t.root then begin
+      if num_keys t t.root = 0 then begin
+        free_node t t.root;
+        t.root <- null;
+        t.tree_height <- 0
+      end
+    end
+    else if num_keys t t.root = 0 then begin
+      let only = link t t.root in
+      free_node t t.root;
+      t.root <- only;
+      t.tree_height <- t.tree_height - 1;
+      shrink t
+    end
+
+let delete_op t key () =
+  match delete_rec t t.root key with
+  | () ->
+      t.n_keys <- t.n_keys - 1;
+      shrink t;
+      true
+  | exception Not_present -> false
+
+let delete t key = if t.root = null then false else guarded t delete_op key ()
 
 (* {2 Bulk load}
 
@@ -868,15 +872,13 @@ let clear t =
 
 module Structure = struct
   type nonrec t = t
-  type snap = int * int * int * int
 
   let name = "Prefix_btree"
   let region t = t.reg
   let counters t = t.cnt
   let scratch t = t.sc
   let root t = t.root
-  let save = save
-  let restore = restore
+  let header = header
   let insert = insert
   let delete = delete
   let prepare_batch t _keys n = Scratch.grow_perm t.sc n

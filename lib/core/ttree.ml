@@ -358,19 +358,19 @@ let rec insert_max t node ~key ~rid ~base =
 
 exception Duplicate
 
-let save t = (t.root, t.n_nodes, t.n_keys)
-
-let restore t (root, nn, nk) =
-  t.root <- root;
-  t.n_nodes <- nn;
-  t.n_keys <- nk
-
-(* Exception safety: snapshot the scalar header, run under the arena
-   undo journal, restore both on any escaping exception.  [Duplicate] /
+(* Exception safety: keep the scalar header, run under the arena undo
+   journal, restore both on any escaping exception.  [Duplicate] /
    [Not_present] are raised before any mutation and handled inside the
-   guarded thunk, so they commit a no-op. *)
-let guarded t f =
-  Engine.guarded ~reg:t.reg ~cnt:(cnt t) ~save:(fun () -> save t) ~restore:(restore t) f
+   guarded operation, so they commit a no-op. *)
+let header : t Engine.header =
+  {
+    get = (fun t i -> match i with 0 -> t.root | 1 -> t.n_nodes | 2 -> t.n_keys | _ -> 0);
+    set =
+      (fun t i v ->
+        match i with 0 -> t.root <- v | 1 -> t.n_nodes <- v | 2 -> t.n_keys <- v | _ -> ());
+  }
+
+let guarded t op a b = Engine.guarded ~reg:t.reg ~cnt:(cnt t) header op t a b
 
 (* Sign of [key] against the last of [node]'s [n] entries, once entry
    0 compared below it: the bounding test shared by insert, delete and
@@ -419,6 +419,14 @@ let rec insert_rec t node key rid ~base =
     rebalance t node ~base
   end
 
+let insert_op t key rid =
+  match insert_rec t t.root key rid ~base:null with
+  | root ->
+      t.root <- root;
+      t.n_keys <- t.n_keys + 1;
+      true
+  | exception Duplicate -> false
+
 let insert t key ~rid =
   (match t.cfg.scheme with
   | Layout.Direct { key_len } when Bytes.length key <> key_len ->
@@ -426,13 +434,7 @@ let insert t key ~rid =
         (Printf.sprintf "Ttree.insert: direct scheme expects %d-byte keys, got %d" key_len
            (Bytes.length key))
   | _ -> ());
-  guarded t (fun () ->
-      match insert_rec t t.root key rid ~base:null with
-      | root ->
-          t.root <- root;
-          t.n_keys <- t.n_keys + 1;
-          true
-      | exception Duplicate -> false)
+  guarded t insert_op key rid
 
 (* {2 Delete}
 
@@ -471,14 +473,15 @@ let rec delete_rec t node key ~base =
     if node = null then null else rebalance t node ~base
   end
 
-let delete t key =
-  guarded t (fun () ->
-      match delete_rec t t.root key ~base:null with
-      | root ->
-          t.root <- root;
-          t.n_keys <- t.n_keys - 1;
-          true
-      | exception Not_present -> false)
+let delete_op t key () =
+  match delete_rec t t.root key ~base:null with
+  | root ->
+      t.root <- root;
+      t.n_keys <- t.n_keys - 1;
+      true
+  | exception Not_present -> false
+
+let delete t key = guarded t delete_op key ()
 
 (* {2 Lookup hooks}
 
@@ -746,15 +749,13 @@ let clear t =
 
 module Structure = struct
   type nonrec t = t
-  type snap = int * int * int
 
   let name = "Ttree"
   let region t = t.reg
   let counters = cnt
   let scratch t = t.sc
   let root t = t.root
-  let save = save
-  let restore = restore
+  let header = header
   let insert = insert
   let delete = delete
 

@@ -12,7 +12,7 @@ type site_state = {
 
 (* Single global registry: fault points are static call sites, and the
    whole repo is single-threaded.  [active] is the one-load fast path
-   checked by every [point]. *)
+   checked, inline, by every [point]. *)
 let table : (string, site_state) Hashtbl.t = Hashtbl.create 32
 let active = ref false
 let paused = ref false
@@ -69,32 +69,33 @@ let pause f =
 
 let armed () = !active
 
-let point site =
-  (* The armed branch allocates (site-state records, float draws); it
-     only runs during fault campaigns, never in the steady-state hot
-     path, where [point] is a single flag test. *)
-  if !active then
-    (let s = state_of site in
-     s.hit_count <- s.hit_count + 1;
-     match s.sched with
-     | None -> ()
-     | Some sched ->
-         let fire =
-           match sched with
-           | Every_nth n -> s.hit_count mod n = 0
-           | Probability p -> Prng.float !rng 1.0 < p
-           | One_shot k -> s.hit_count = k
-         in
-         if fire then begin
-           s.injected <- s.injected + 1;
-           (match sched with
-           | One_shot _ ->
-               s.sched <- None;
-               refresh_active ()
-           | Every_nth _ | Probability _ -> ());
-           raise (Injected site)
-         end)
-    [@pklint.cold]
+(* The armed body, out of line: it allocates (site-state records,
+   float draws) and only runs during fault campaigns. *)
+let hit site =
+  let s = state_of site in
+  s.hit_count <- s.hit_count + 1;
+  match s.sched with
+  | None -> ()
+  | Some sched ->
+      let fire =
+        match sched with
+        | Every_nth n -> s.hit_count mod n = 0
+        | Probability p -> Prng.float !rng 1.0 < p
+        | One_shot k -> s.hit_count = k
+      in
+      if fire then begin
+        s.injected <- s.injected + 1;
+        (match sched with
+        | One_shot _ ->
+            s.sched <- None;
+            refresh_active ()
+        | Every_nth _ | Probability _ -> ());
+        raise (Injected site)
+      end
+
+(* Inlined at every call site: with no site armed, one load and one
+   branch. *)
+let[@inline] point site = if !active then (hit site [@pklint.cold])
 
 let hits site = match Hashtbl.find_opt table site with Some s -> s.hit_count | None -> 0
 let injections site = match Hashtbl.find_opt table site with Some s -> s.injected | None -> 0

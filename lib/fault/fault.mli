@@ -9,8 +9,9 @@
 
     Everything is deterministic: probability schedules draw from a
     splitmix64 PRNG seeded by {!val:reset}, so any failure replays from
-    its seed.  With no site armed, {!val:point} costs one load and one
-    branch — the subsystem is free in production and benchmark runs. *)
+    its seed.  {!val:point} is inlined at its call site: with no site
+    armed it costs one load and one branch, and the armed body runs out
+    of line — the subsystem is free in production and benchmark runs. *)
 
 exception Injected of string
 (** Raised by {!val:point} at an armed site whose schedule fires.  The

@@ -1,7 +1,7 @@
 (* guarded-mutation: every mutation of arena/node state must happen
    below the engine's unwind scope (PR 1's crash-atomicity contract):
-   {!Pk_core.Engine.guarded} snapshots the scalar header and runs the
-   thunk under the arena undo journal, so an injected fault unwinds to
+   {!Pk_core.Engine.guarded} keeps the scalar header and runs the
+   operation under the arena undo journal, so an injected fault unwinds to
    the exact pre-operation tree.  A write reachable from an exported
    entry point that never enters the guard would mutate state the
    journal cannot roll back.

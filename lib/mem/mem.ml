@@ -64,8 +64,9 @@ let[@inline] check_writable r name =
   | Some _ -> invalid_arg ("Mem." ^ name ^ ": snapshot views are read-only")
 
 (* View-aware byte read: the one branch every snapshot read path pays.
-   Top-level and allocation-free — used by the hot comparison scans. *)
-let[@pklint.hot] view_get_u8 r off =
+   Top-level, allocation-free and inlined into the byte loops of the
+   hot comparison scans. *)
+let[@inline] [@pklint.hot] view_get_u8 r off =
   match r.view with
   | None -> Arena.get_u8 r.arena off
   | Some s -> Arena.shadow_get_u8 r.arena s off
@@ -93,11 +94,11 @@ let free r off size =
   Arena.free r.arena off size
 let in_txn r = Arena.in_txn r.arena
 
-let guard r f =
-  if (not (Fault.unwind_enabled ())) || Arena.in_txn r.arena then f ()
+let guard r op a b c =
+  if (not (Fault.unwind_enabled ())) || Arena.in_txn r.arena then op a b c
   else begin
     Arena.begin_txn r.arena;
-    match f () with
+    match op a b c with
     | v ->
         Arena.commit_txn r.arena;
         v
@@ -114,7 +115,7 @@ let[@inline] charge r off len =
       (Cachesim.touch sim ~addr:(r.region_base + off) ~len [@pklint.cold])
   | Some _ | None -> ()
 
-let read_u8 r off =
+let[@inline] read_u8 r off =
   Fault.point "mem.read";
   charge r off 1;
   view_get_u8 r off
@@ -125,7 +126,7 @@ let write_u8 r off v =
   charge r off 1;
   Arena.set_u8 r.arena off v
 
-let read_u16 r off =
+let[@inline] read_u16 r off =
   Fault.point "mem.read";
   charge r off 2;
   match r.view with
@@ -138,7 +139,7 @@ let write_u16 r off v =
   charge r off 2;
   Arena.set_u16 r.arena off v
 
-let read_u32 r off =
+let[@inline] read_u32 r off =
   Fault.point "mem.read";
   charge r off 4;
   match r.view with
@@ -151,7 +152,7 @@ let write_u32 r off v =
   charge r off 4;
   Arena.set_u32 r.arena off v
 
-let read_u64 r off =
+let[@inline] read_u64 r off =
   Fault.point "mem.read";
   charge r off 8;
   match r.view with
@@ -199,6 +200,20 @@ let move r ~src_off ~dst_off ~len =
    lookup, so they take the int minimum inline. *)
 let[@inline] imin (a : int) b = if a < b then a else b
 
+(* Leading bytes a comparison may skip as equal 8-byte words.  The one
+   view branch of a scan: a snapshot view's bytes may live in captured
+   shadow pages, so it skips nothing and the byte loop reads every
+   byte through the shadow. *)
+let[@inline] skip_words r off probe key_off common =
+  match r.view with
+  | None -> Arena.equal_words r.arena ~off probe ~b_off:key_off ~len:common
+  | Some _ -> 0
+
+let[@inline] skip_words_within r off off2 common =
+  match r.view with
+  | None -> Arena.equal_words_within r.arena ~off ~off2 ~len:common
+  | Some _ -> 0
+
 (* Top-level recursion (not an inner [let rec]) so no closure is
    allocated: the comparison is on every lookup's hot path and must not
    touch the OCaml heap.  Returns the packed [(diff lsl 2) lor (sign + 1)]. *)
@@ -214,7 +229,10 @@ let[@pklint.hot] rec detail_scan r off (len : int) probe key_off (key_len : int)
 let[@pklint.hot] compare_detail r ~off ~len probe ~key_off ~key_len =
   Fault.point "mem.read";
   let common = imin len key_len in
-  let p = detail_scan r off len probe key_off key_len common 0 in
+  let p =
+    detail_scan r off len probe key_off key_len common
+      (skip_words r off probe key_off common)
+  in
   let examined = imin ((p lsr 2) + 1) common in
   if examined > 0 then charge r off examined;
   p
@@ -233,7 +251,7 @@ let[@pklint.hot] rec pair_scan r off (len : int) off2 (len2 : int) common i =
 let[@pklint.hot] compare_within r ~off ~len ~off2 ~len2 =
   Fault.point "mem.read";
   let common = imin len len2 in
-  let p = pair_scan r off len off2 len2 common 0 in
+  let p = pair_scan r off len off2 len2 common (skip_words_within r off off2 common) in
   let examined = imin ((p lsr 2) + 1) common in
   if examined > 0 then begin
     charge r off examined;
@@ -269,6 +287,7 @@ let[@pklint.hot] rec sign_scan r off (len : int) probe key_off (key_len : int) c
 
 let[@pklint.hot] compare_sign r ~off ~len probe ~key_off ~key_len =
   Fault.point "mem.read";
-  sign_scan r off len probe key_off key_len (imin len key_len) 0
+  let common = imin len key_len in
+  sign_scan r off len probe key_off key_len common (skip_words r off probe key_off common)
 
 let touch r ~off ~len = charge r off len

@@ -90,13 +90,15 @@ val alloc_at : region -> off:int -> int -> int
 
 val free : region -> int -> int -> unit
 
-val guard : region -> (unit -> 'a) -> 'a
-(** [guard r f] runs [f] inside an arena undo transaction on [r]'s
-    arena: on normal return the writes are committed (and deferred
-    frees applied); on any exception the arena is rolled back to its
-    state at entry and the exception re-raised.  Reentrant — a nested
-    guard joins the open transaction.  A no-op (direct call) when
-    {!val:Pk_fault.Fault.unwind_enabled} is off. *)
+val guard : region -> ('a -> 'b -> 'c -> 'd) -> 'a -> 'b -> 'c -> 'd
+(** [guard r op a b c] runs [op a b c] inside an arena undo transaction
+    on [r]'s arena: on normal return the writes are committed (and
+    deferred frees applied); on any exception the arena is rolled back
+    to its state at entry and the exception re-raised.  Reentrant — a
+    nested guard joins the open transaction.  A no-op (direct call)
+    when {!val:Pk_fault.Fault.unwind_enabled} is off.  The operation
+    and its arguments are passed apart, not as a thunk, so the scope
+    allocates nothing. *)
 
 val in_txn : region -> bool
 

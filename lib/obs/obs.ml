@@ -218,14 +218,16 @@ module Trace = struct
      emitters may interleave slots or tear an event; consumers
      ([drain], the trace dumps) tolerate both, and tracing is disabled
      in any run whose output feeds an experiment. *)
-  let[@pklint.hot] [@pklint.guarded] emit tr k a b =
-    if tr.enabled then begin
-      let i = tr.next land tr.mask in
-      tr.kinds.(i) <- k;
-      tr.ev_a.(i) <- a;
-      tr.ev_b.(i) <- b;
-      tr.next <- tr.next + 1
-    end
+  let[@pklint.hot] [@pklint.guarded] write tr k a b =
+    let i = tr.next land tr.mask in
+    tr.kinds.(i) <- k;
+    tr.ev_a.(i) <- a;
+    tr.ev_b.(i) <- b;
+    tr.next <- tr.next + 1
+
+  (* Inlined at every tap: a disabled ring costs one load and one
+     branch; the ring write runs out of line. *)
+  let[@inline] [@pklint.hot] emit tr k a b = if tr.enabled then write tr k a b
 
   let[@pklint.hot] emit_sign tr node sign =
     if tr.enabled then

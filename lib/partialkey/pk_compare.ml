@@ -5,7 +5,7 @@ module Bitops = Pk_keys.Bitops
    lies outside that range (packed values are non-negative). *)
 let need_units = -1
 
-let[@pklint.hot] resolve_by_offset ~rel ~off ~pk_off =
+let[@inline] [@pklint.hot] resolve_by_offset ~rel ~off ~pk_off =
   match rel with
   | Key.Lt | Key.Gt ->
       if pk_off < off then

@@ -165,12 +165,21 @@ let test_blits_and_compare () =
   let dst = Bytes.make 11 ' ' in
   Arena.blit_to_bytes a ~src_off:off ~dst ~dst_off:0 ~len:11;
   Alcotest.(check string) "round trip" "hello world" (Bytes.to_string dst);
-  Alcotest.(check int) "compare equal" 0
-    (Arena.compare_with_bytes a ~off (Bytes.of_string "hello world") ~b_off:0 ~len:11);
-  Alcotest.(check bool) "compare less" true
-    (Arena.compare_with_bytes a ~off (Bytes.of_string "hello worlds") ~b_off:0 ~len:11 = 0);
-  Alcotest.(check bool) "compare differs" true
-    (Arena.compare_with_bytes a ~off (Bytes.of_string "hellp world") ~b_off:0 ~len:11 < 0)
+  (* Word equality: whole equal 8-byte words, stopping at the first
+     unequal word or when fewer than 8 bytes remain. *)
+  Alcotest.(check int) "equal words, 3-byte tail left over" 8
+    (Arena.equal_words a ~off (Bytes.of_string "hello world") ~b_off:0 ~len:11);
+  Alcotest.(check int) "equal words ignore bytes past len" 8
+    (Arena.equal_words a ~off (Bytes.of_string "hello worlds") ~b_off:0 ~len:11);
+  Alcotest.(check int) "unequal first word" 0
+    (Arena.equal_words a ~off (Bytes.of_string "hellp world") ~b_off:0 ~len:11);
+  Alcotest.(check int) "unaligned probe offset" 8
+    (Arena.equal_words a ~off (Bytes.of_string "__hello world") ~b_off:2 ~len:11);
+  Alcotest.(check int) "out of bounds skips nothing" 0
+    (Arena.equal_words a ~off (Bytes.of_string "hello") ~b_off:0 ~len:11);
+  Arena.blit_from_bytes a ~src ~src_off:0 ~dst_off:(off + 16) ~len:11;
+  Alcotest.(check int) "within one arena" 8
+    (Arena.equal_words_within a ~off ~off2:(off + 16) ~len:11)
 
 let test_blit_within_overlap () =
   let a = make () in

@@ -324,6 +324,58 @@ let test_repeated_injections () =
   Alcotest.(check bool) "several injections landed" true (!aborted > 10);
   Alcotest.(check int) "population matches survivors" !ok (ix.Index.count ())
 
+(* {1 Fault-point parity}
+
+   Every [Mem] access fires its fault point once, however the point
+   and the accessors are compiled: with [mem.read] and [mem.write]
+   armed by a schedule that never fires, a fixed pkB and pkT sequence
+   of lookups, inserts and deletes must count exactly the pinned hits,
+   and nothing may accrue once the sites are disarmed.  The pinned
+   counts were measured with the out-of-line point and the
+   byte-at-a-time scans; an inlining or a rewritten scan that dropped
+   or added a point would move them. *)
+
+let never = Fault.Every_nth max_int
+
+let parity_hits make =
+  with_clean_registry @@ fun () ->
+  let mem, records = env () in
+  let ix : Index.t = make mem records in
+  let keys = keys_for ~seed:41 ~n:600 in
+  let rids = Array.map (fun k -> Record_store.insert records ~key:k ~payload:Bytes.empty) keys in
+  for i = 0 to 399 do
+    ignore (ix.Index.insert keys.(i) ~rid:rids.(i) : bool)
+  done;
+  (* Run twice: inserts and deletes succeed the first time only. *)
+  let sequence ~first =
+    Array.iter (fun k -> ignore (ix.Index.lookup k : int option)) keys;
+    let applied = ref 0 in
+    for i = 400 to 599 do
+      if ix.Index.insert keys.(i) ~rid:rids.(i) then incr applied
+    done;
+    for i = 0 to 199 do
+      if ix.Index.delete keys.(i) then incr applied
+    done;
+    Alcotest.(check int) "inserts and deletes applied" (if first then 400 else 0) !applied
+  in
+  Fault.arm "mem.read" never;
+  Fault.arm "mem.write" never;
+  sequence ~first:true;
+  let counted = (Fault.hits "mem.read", Fault.hits "mem.write") in
+  Fault.disarm_all ();
+  sequence ~first:false;
+  Alcotest.(check (pair int int)) "nothing accrues while disarmed" counted
+    (Fault.hits "mem.read", Fault.hits "mem.write");
+  Alcotest.(check int) "no injection" 0 (Fault.total_injections ());
+  ix.Index.validate ();
+  counted
+
+let test_point_parity () =
+  List.iter
+    (fun (name, make, want) ->
+      Alcotest.(check (pair int int)) (name ^ " mem.read / mem.write hits") want (parity_hits make))
+    [ ("pkB", mk_pkb, (64105, 2424)); ("pkT", mk_pkt, (112651, 2663)) ]
+
 let () =
   Alcotest.run "pk_fault"
     [
@@ -336,6 +388,7 @@ let () =
           Alcotest.test_case "arm validation" `Quick test_arm_validation;
           Alcotest.test_case "disarm and accounting" `Quick test_disarm_and_sites;
           Alcotest.test_case "mem.read covers comparisons" `Quick test_mem_read_compare;
+          Alcotest.test_case "fault-point parity" `Quick test_point_parity;
         ] );
       ( "unwind",
         List.map

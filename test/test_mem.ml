@@ -121,6 +121,127 @@ let test_compare_detail_semantics () =
   check "probe prefix" "ban" 3 1 3;
   check "region prefix" "bananas" 7 (-1) 6
 
+(* {2 Word-wise scans}
+
+   [compare_detail], [compare_sign] and [compare_within] skip equal
+   8-byte words before their byte loop.  Each is checked against a
+   byte-by-byte reference over keys of 0-40 bytes at unaligned offsets
+   (equal keys, each proper prefix either way round, a first
+   difference at every position), through a live region and through a
+   snapshot view whose live bytes were overwritten after the pin.
+   Charge parity: a twin memory system, fed only [Mem.touch] of the
+   examined prefix, must end with the identical simulator state. *)
+
+let ref_compare a b =
+  let la = Bytes.length a and lb = Bytes.length b in
+  let common = Stdlib.min la lb in
+  let rec go i =
+    if i >= common then (common lsl 2) lor if la = lb then 1 else if la < lb then 0 else 2
+    else
+      let x = Char.code (Bytes.get a i) and y = Char.code (Bytes.get b i) in
+      if x <> y then (i lsl 2) lor if x < y then 0 else 2 else go (i + 1)
+  in
+  go 0
+
+let word_cases () =
+  let rng = Pk_util.Prng.create 7L in
+  let cases = ref [] in
+  for len = 0 to 40 do
+    let a = Bytes.init len (fun _ -> Char.chr (Pk_util.Prng.int rng 256)) in
+    cases := (a, Bytes.copy a) :: !cases;
+    for k = 0 to len - 1 do
+      cases := (a, Bytes.sub a 0 k) :: (Bytes.sub a 0 k, a) :: !cases
+    done;
+    for p = 0 to len - 1 do
+      let b = Bytes.copy a in
+      Bytes.set b p (Char.chr ((Char.code (Bytes.get a p) + 1 + Pk_util.Prng.int rng 255) land 0xff));
+      cases := (a, b) :: (b, a) :: !cases
+    done
+  done;
+  List.rev !cases
+
+(* A memory system and its twin: same geometry, same region bases, one
+   256-byte block at the same offset. *)
+let twin_env () =
+  let mk () =
+    let mem, cache = make () in
+    let r = Mem.new_region mem ~name:"r" () in
+    (mem, cache, r, Mem.alloc r ~align:64 256)
+  in
+  let (mem, cache, r, blk) = mk () and (mem', cache', r', blk') = mk () in
+  Alcotest.(check int) "twin blocks line up" blk blk';
+  (mem, cache, r, mem', cache', r', blk)
+
+let test_word_scans () =
+  let mem, cache, r, mem', cache', r', blk = twin_env () in
+  let check_case ~view ~ao ~bo ~kb (a, b) =
+    let la = Bytes.length a and lb = Bytes.length b in
+    (* Both keys straddle a 64-byte boundary, so a charge that is off
+       by a byte shows up as a block touched or not. *)
+    let off = blk + 40 + ao and off2 = blk + 168 + bo in
+    let probe = Bytes.make (kb + lb) '\xa5' in
+    Bytes.blit b 0 probe kb lb;
+    Mem.write_bytes r ~off ~src:a ~src_off:0 ~len:la;
+    Mem.write_bytes r ~off:off2 ~src:b ~src_off:0 ~len:lb;
+    let rd =
+      if not view then r
+      else begin
+        let v = Mem.snapshot_view r in
+        (* The view must read the pinned bytes, not these: live, both
+           sides now hold [b], so a word read of live bytes would skip
+           words of the pinned ones that differ. *)
+        Mem.write_bytes r ~off ~src:b ~src_off:0 ~len:lb;
+        Mem.write_bytes r ~off:off2 ~src:b ~src_off:0 ~len:lb;
+        v
+      end
+    in
+    let want = ref_compare a b in
+    let common = Stdlib.min la lb in
+    let examined = Stdlib.min ((want lsr 2) + 1) common in
+    let name what =
+      Printf.sprintf "%s %s a=%S b=%S ao=%d bo=%d kb=%d" what
+        (if view then "view" else "live")
+        (Bytes.to_string a) (Bytes.to_string b) ao bo kb
+    in
+    let parity what ~touch f =
+      Mem.set_tracing mem true;
+      Mem.set_tracing mem' true;
+      let got = f () in
+      if examined > 0 then touch ();
+      Mem.set_tracing mem false;
+      Mem.set_tracing mem' false;
+      if Cachesim.snapshot cache <> Cachesim.snapshot cache' then
+        Alcotest.failf "%s: charge differs from a touch of the %d examined bytes" (name what)
+          examined;
+      got
+    in
+    let touch1 () = Mem.touch r' ~off ~len:examined in
+    let touch2 () =
+      Mem.touch r' ~off ~len:examined;
+      Mem.touch r' ~off:off2 ~len:examined
+    in
+    let got = parity "compare_detail" ~touch:touch1 (fun () ->
+        Mem.compare_detail rd ~off ~len:la probe ~key_off:kb ~key_len:lb)
+    in
+    if got <> want then Alcotest.failf "%s: packed %d, want %d" (name "compare_detail") got want;
+    let got = parity "compare_sign" ~touch:touch1 (fun () ->
+        Mem.compare_sign rd ~off ~len:la probe ~key_off:kb ~key_len:lb)
+    in
+    if got <> (want land 3) - 1 then
+      Alcotest.failf "%s: sign %d, want %d" (name "compare_sign") got ((want land 3) - 1);
+    let got = parity "compare_within" ~touch:touch2 (fun () ->
+        Mem.compare_within rd ~off ~len:la ~off2 ~len2:lb)
+    in
+    if got <> want then Alcotest.failf "%s: packed %d, want %d" (name "compare_within") got want;
+    if view then Mem.release_view rd
+  in
+  let cases = word_cases () in
+  List.iter
+    (fun (ao, bo, kb) ->
+      List.iter (check_case ~view:false ~ao ~bo ~kb) cases)
+    [ (0, 0, 0); (3, 5, 1); (7, 2, 6) ];
+  List.iter (check_case ~view:true ~ao:5 ~bo:3 ~kb:7) cases
+
 let () =
   Alcotest.run "pk_mem"
     [
@@ -134,5 +255,6 @@ let () =
           Alcotest.test_case "block-span charging" `Quick test_charging_spans_blocks;
           Alcotest.test_case "region address separation" `Quick test_same_offsets_different_regions_do_not_conflict;
           Alcotest.test_case "compare_detail" `Quick test_compare_detail_semantics;
+          Alcotest.test_case "word scans match a byte reference" `Quick test_word_scans;
         ] );
     ]
