@@ -294,14 +294,18 @@ let alloc t ?(align = 8) size =
   if align <= 0 || align land (align - 1) <> 0 then
     invalid_arg "Arena.alloc: align must be a positive power of two";
   Fault.point "arena.alloc";
-  match Hashtbl.find_opt t.free_lists size with
-  | Some ({ contents = off :: rest } as cell) ->
-      cell := rest;
-      Hashtbl.remove t.free_set off;
-      t.freed <- t.freed - size;
-      log_alloc t off size;
-      off
-  | Some _ | None -> bump t align size
+  (* [freed] sums the free lists' blocks: at 0 no list holds one, so
+     bump without the lookup (and its [Some] box). *)
+  if t.freed = 0 then bump t align size
+  else
+    match Hashtbl.find_opt t.free_lists size with
+    | Some ({ contents = off :: rest } as cell) ->
+        cell := rest;
+        Hashtbl.remove t.free_set off;
+        t.freed <- t.freed - size;
+        log_alloc t off size;
+        off
+    | Some _ | None -> bump t align size
 
 (* Reserve a contiguous placement range at the bump frontier.  Always
    fresh bytes — never a recycled free-list block, whose alignment is

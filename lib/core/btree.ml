@@ -597,48 +597,102 @@ let load_shape t ~fill entries =
     shape_levels = Array.of_list (go (Array.length entries) ~leaf:true []);
   }
 
+(* Per-key admission check, run inside the loading pass. *)
+let check_load_key t k =
+  match t.cfg.scheme with
+  | Layout.Direct { key_len } ->
+      if Bytes.length k <> key_len then
+        invalid_arg
+          (Printf.sprintf "Btree.bulk_load: direct scheme expects %d-byte keys, got %d" key_len
+             (Bytes.length k))
+  | Layout.Indirect | Layout.Partial _ -> ()
+
+(* One ordered pass over the entries builds the leaves: global entry
+   [g] is either a leaf entry or the separator promoted between two
+   leaves.  Each leaf entry, entry 0 included, is based on its sorted
+   predecessor [g - 1] (for entry 0 that is the separator left of the
+   leaf, the key preceding its subtree), so the comparison that
+   encodes it is also the order check of the pair (g - 1, g); only the
+   pair (last leaf key, separator) is checked apart.  Before a leaf is
+   encoded, the next leaf's keys are touched so their cache misses
+   overlap.  Internal levels then encode from the same in-hand keys:
+   entry [j >= 1] against its in-node predecessor, entry 0 against the
+   key preceding its subtree.  No record is read. *)
 let load_sorted t ~fill ~plan entries =
   let n = Array.length entries in
-  let key i = fst entries.(i) in
-  let rid i = snd entries.(i) in
+  let key g = fst entries.(g) in
+  let partial = is_partial t in
   (* Root-first planner level of the nodes built at build height
      [levels] (1 = leaves).  Meaningless under the flat plan, whose
      [offset] ignores it. *)
   let nlv = Layout.Placement.level_count plan in
-  (* [items]: global entry indices placed at this level; [kids]:
-     nodes of the level below; [kid_lo]: global index of each
-     child subtree's minimum (for entry-0 base derivation). *)
+  let leaf_level () =
+    let cap = t.leaf_max in
+    let k, q, r = split_level ~cap ~minn:((cap - 1) / 2) ~fill n in
+    let nodes = Array.make k null in
+    (* [los]: global index of each leaf's first entry; [seps]: global
+       indices of the separators promoted between leaves. *)
+    let los = Array.make k 0 in
+    let seps = Array.make (k - 1) 0 in
+    let pos = ref 0 in
+    for i = 0 to k - 1 do
+      let sz = q + if i < r then 1 else 0 in
+      let lo = !pos in
+      let node = alloc_node_at t plan ~level:(nlv - 1) ~index:i ~leaf:true in
+      nodes.(i) <- node;
+      los.(i) <- lo;
+      (* The next leaf's separator and entries. *)
+      let next = q + if i + 1 < r then 1 else 0 in
+      ignore (Sys.opaque_identity (Engine.touch_keys entries (lo + sz) (lo + sz + 1 + next) 0));
+      for g = lo to lo + sz - 1 do
+        let kg = key g in
+        check_load_key t kg;
+        write_entry t node (g - lo) ~key:kg ~rid:(snd entries.(g));
+        if g > 0 then Entries.load_after t.ec node (g - lo) kg ~prev:(key (g - 1))
+        else if partial then Entries.encode_pk_initial t.ec node 0 kg
+      done;
+      set_num_keys t node sz;
+      pos := lo + sz;
+      if i < k - 1 then begin
+        let g = !pos in
+        check_load_key t (key g);
+        Engine.check_ascending t.ec.Entries.name (key (g - 1)) (key g);
+        seps.(i) <- g;
+        incr pos
+      end
+    done;
+    (nodes, los, seps)
+  in
+  (* [items]: global entry indices placed at this level; [kids]: nodes
+     of the level below; [kid_lo]: global index of each child subtree's
+     minimum (for entry-0 base derivation). *)
   let rec build_level ~levels items kids kid_lo =
     let s = Array.length items in
-    let leaf = Array.length kids = 0 in
-    let cap = if leaf then t.leaf_max else t.internal_max in
-    let minn = (cap - 1) / 2 in
-    let k, q, r = split_level ~cap ~minn ~fill s in
+    let cap = t.internal_max in
+    let k, q, r = split_level ~cap ~minn:((cap - 1) / 2) ~fill s in
     let nodes = Array.make k null in
     let los = Array.make k 0 in
     let next_items = Array.make (max 0 (k - 1)) 0 in
     let pos = ref 0 and kid = ref 0 in
     for i = 0 to k - 1 do
       let sz = q + if i < r then 1 else 0 in
-      let node = alloc_node_at t plan ~level:(nlv - levels) ~index:i ~leaf in
+      let node = alloc_node_at t plan ~level:(nlv - levels) ~index:i ~leaf:false in
       nodes.(i) <- node;
+      let lo_g = kid_lo.(!kid) in
+      los.(i) <- lo_g;
       for j = 0 to sz - 1 do
         let g = items.(!pos + j) in
-        write_entry t node j ~key:(key g) ~rid:(rid g)
+        write_entry t node j ~key:(key g) ~rid:(snd entries.(g));
+        if partial then
+          if j > 0 then
+            ignore (Entries.encode_pk t.ec node j (key g) ~base:(key items.(!pos + j - 1)) : int)
+          else if lo_g = 0 then Entries.encode_pk_initial t.ec node 0 (key g)
+          else ignore (Entries.encode_pk t.ec node 0 (key g) ~base:(key (lo_g - 1)) : int)
       done;
       set_num_keys t node sz;
-      if not leaf then
-        for j = 0 to sz do
-          set_child t node j kids.(!kid + j)
-        done;
-      let lo_g = if leaf then items.(!pos) else kid_lo.(!kid) in
-      los.(i) <- lo_g;
-      if is_partial t then begin
-        fix_pk t node 0 ~base:(if lo_g = 0 then null else rid (lo_g - 1));
-        for j = 1 to sz - 1 do
-          fix_pk t node j ~base:null
-        done
-      end;
+      for j = 0 to sz do
+        set_child t node j kids.(!kid + j)
+      done;
       pos := !pos + sz;
       kid := !kid + sz + 1;
       if i < k - 1 then begin
@@ -646,13 +700,16 @@ let load_sorted t ~fill ~plan entries =
         incr pos
       end
     done;
-    if k = 1 then begin
+    finish ~levels nodes next_items los
+  and finish ~levels nodes items los =
+    if Array.length nodes = 1 then begin
       t.root <- nodes.(0);
       t.tree_height <- levels
     end
-    else build_level ~levels:(levels + 1) next_items nodes los
+    else build_level ~levels:(levels + 1) items nodes los
   in
-  build_level ~levels:1 (Array.init n (fun i -> i)) [||] [||];
+  let leaves, los, seps = leaf_level () in
+  finish ~levels:1 leaves seps los;
   t.n_keys <- n
 
 (* {2 Cursor primitives}
@@ -772,15 +829,6 @@ module Structure = struct
     if is_partial t then
       Scratch.seed_findnode t.sc (Entries.granularity t.ec) t.sc.Scratch.keys (slot + 1);
     Group.drive1 (router t) t.root slot
-
-  let check_load_key t k =
-    match t.cfg.scheme with
-    | Layout.Direct { key_len } ->
-        if Bytes.length k <> key_len then
-          invalid_arg
-            (Printf.sprintf "Btree.bulk_load: direct scheme expects %d-byte keys, got %d" key_len
-               (Bytes.length k))
-    | Layout.Indirect | Layout.Partial _ -> ()
 
   let layout_policy t = t.cfg.layout
   let load_shape = load_shape

@@ -59,6 +59,31 @@ let check_rids keys ~rids =
   if Array.length rids <> Array.length keys then
     invalid_arg "insert_batch: keys and rids must have the same length"
 
+(* {2 Bulk-load pass helpers}
+
+   Each tree's bulk load is one ordered pass over the in-hand
+   [(key, rid)] array that writes the entries, checks the order and
+   encodes partial keys from the in-hand keys.  Every order violation
+   raises through [not_ascending], so all trees report it alike. *)
+
+let not_ascending name =
+  invalid_arg (name ^ ".bulk_load: keys must be strictly ascending")
+
+let check_ascending name prev key = if Key.compare prev key >= 0 then not_ascending name
+
+(* Read the first byte of the keys of entries [g, hi) (clamped to the
+   array) and add them to [acc].  No iteration depends on another's load, so the cache
+   misses of a whole node's keys overlap; the loader runs this on the
+   next node's keys before it encodes the current one.  Plain heap
+   reads: no [Mem] access, no fault point, no charge.  The caller keeps
+   the sum live ([Sys.opaque_identity]) so the loads stay. *)
+let[@pklint.hot] rec touch_keys (entries : (Key.t * int) array) g hi acc =
+  if g >= hi || g >= Array.length entries then acc
+  else
+    let k = fst (Array.unsafe_get entries g) in
+    touch_keys entries (g + 1) hi
+      (if Bytes.length k = 0 then acc else acc + Char.code (Bytes.unsafe_get k 0))
+
 (* {2 Counters} *)
 
 module Counters = struct
@@ -364,6 +389,104 @@ module Entries = struct
   let bit_or_zero k i =
     if i >= 8 * Bytes.length k then 0
     else (Char.code (Bytes.get k (i lsr 3)) lsr (7 - (i land 7))) land 1
+
+  (* {3 Encoding from in-hand keys}
+
+     The bulk load's encoder: the same field [fix_pk] stores, derived
+     from keys the loader holds instead of records, so a load reads no
+     record.  [diff_bytes] is the one comparison per entry: its packed
+     sign is the loader's order check, its offset the byte-granularity
+     difference. *)
+
+  (* Packed (sign of c(key, base), first differing byte); a proper
+     prefix sorts first, its difference at the shorter length. *)
+  let[@pklint.hot] rec diff_bytes (key : Key.t) (base : Key.t) i common =
+    if i = common then
+      Key.pack_sign (Int.compare (Bytes.length key) (Bytes.length base)) common
+    else
+      let x = Char.code (Bytes.unsafe_get key i) and y = Char.code (Bytes.unsafe_get base i) in
+      if x = y then diff_bytes key base (i + 1) common
+      else Key.pack_sign (if x < y then -1 else 1) i
+
+  let[@pklint.hot] rec first_nonzero (k : Key.t) i =
+    if i = Bytes.length k || Bytes.unsafe_get k i <> '\000' then i else first_nonzero k (i + 1)
+
+  (* First set bit of [k] at or after byte [i]; [8 * length] when none. *)
+  let[@pklint.hot] first_set_bit (k : Key.t) i =
+    let j = first_nonzero k i in
+    if j = Bytes.length k then 8 * j
+    else (8 * j) + Pk_keys.Bitops.leading_zeros8 (Char.code (Bytes.unsafe_get k j))
+
+  (* Store entry [i]'s field for [key] with difference offset [d] (in
+     the scheme's units): the [l] bytes from the difference byte on, or
+     the [8 l] bits after the difference bit, assembled in the [units]
+     window — zero past the live units, bits past the key's end read as
+     zero — and written with one [Layout.write_pk_image]. *)
+  let[@pklint.guarded] [@pklint.hot] store_pk c node i (key : Key.t) d =
+    let l = l_bytes c and u0 = Layout.pk_image_units and len = Bytes.length key in
+    let units = c.units in
+    Bytes.fill units u0 (l + 1) '\000';
+    let pk_len =
+      match granularity c with
+      | Partial_key.Byte ->
+          let w = imin l (imax 0 (len - d)) in
+          Bytes.blit key d units u0 w;
+          w
+      | Partial_key.Bit ->
+          let first = d + 1 in
+          let width = imin (8 * l) (imax 0 ((8 * len) - first)) in
+          let q = first lsr 3 and sh = first land 7 in
+          for j = 0 to ((width + 7) / 8) - 1 do
+            let hi = byte_or_zero key (q + j) and lo = byte_or_zero key (q + j + 1) in
+            Bytes.unsafe_set units (u0 + j)
+              (Char.unsafe_chr (((hi lsl sh) lor (lo lsr (8 - sh))) land 0xff))
+          done;
+          width
+    in
+    Layout.write_pk_image c.reg (entry_addr c node i) ~image:units ~pk_off:d ~pk_len ~l_bytes:l
+
+  (* Encode entry [i]'s field for the in-hand [key] against the in-hand
+     [base]; returns the sign of c(key, base).  Equal keys raise the
+     ascending-order error; under bit granularity, bits past a key's
+     end read as zero, so a proper prefix differs at the longer key's
+     first set bit past it.  Partial schemes only. *)
+  let[@pklint.guarded] [@pklint.hot] encode_pk c node i (key : Key.t) ~(base : Key.t) =
+    let p = diff_bytes key base 0 (imin (Bytes.length key) (Bytes.length base)) in
+    let s = Key.packed_sign p and o = Key.packed_off p in
+    if s = 0 then (not_ascending c.name [@pklint.cold]);
+    let d =
+      match granularity c with
+      | Partial_key.Byte -> o
+      | Partial_key.Bit ->
+          if o < Bytes.length key && o < Bytes.length base then
+            (8 * o)
+            + Pk_keys.Bitops.leading_zeros8
+                (Char.code (Bytes.unsafe_get key o) lxor Char.code (Bytes.unsafe_get base o))
+          else
+            let long = if s > 0 then key else base in
+            let b = first_set_bit long o in
+            if b = 8 * Bytes.length long then
+              (invalid_arg (c.name ^ ".bulk_load: a key equals its base once zero-padded")
+              [@pklint.cold]);
+            b
+    in
+    store_pk c node i key d;
+    s
+
+  (* Encode entry [i]'s field for [key] against the virtual zero key:
+     the difference is the lookup path's initial state. *)
+  let[@pklint.guarded] [@pklint.hot] encode_pk_initial c node i (key : Key.t) =
+    store_pk c node i key (Key.packed_off (Partial_key.initial_state (granularity c) key))
+
+  (* Bulk load: entry [i] of [node] takes [key], which follows [prev]
+     in the sorted input.  Check the pair's order — under a partial
+     scheme with the comparison that encodes the field against
+     [prev]. *)
+  let[@pklint.guarded] [@pklint.hot] load_after c node i (key : Key.t) ~(prev : Key.t) =
+    match c.scheme with
+    | Layout.Partial _ ->
+        if encode_pk c node i key ~base:prev < 0 then (not_ascending c.name [@pklint.cold])
+    | Layout.Direct _ | Layout.Indirect -> check_ascending c.name prev key
 
   (* Full comparison of the search key against entry [i]'s record key:
      (c(search, key_i), d) in the scheme's granularity units, packed. *)
@@ -828,15 +951,14 @@ module type STRUCTURE = sig
   val descend : t -> int -> unit
   val descend_one : t -> int -> unit
 
-  (** Bulk load: per-key admission check, the node-placement policy and
-      the shape pass feeding the planner, then the level-building body
-      (run under the engine's unwind scope with [fill] clamped and the
-      placement plan — {!Layout.Placement.flat} under a [Flat] policy,
-      target offsets per (root-first level, index) otherwise).
-      [load_shape] must predict exactly the levels [load_sorted] builds
-      for the same [fill] and entries. *)
+  (** Bulk load: the node-placement policy and the shape pass feeding
+      the planner, then the level-building body (run under the engine's
+      unwind scope with [fill] clamped and the placement plan —
+      {!Layout.Placement.flat} under a [Flat] policy, target offsets per
+      (root-first level, index) otherwise), which also checks each key
+      and the order in its one pass.  [load_shape] must predict exactly
+      the levels [load_sorted] builds for the same [fill] and entries. *)
 
-  val check_load_key : t -> Key.t -> unit
   val layout_policy : t -> Layout.policy
   val load_shape : t -> fill:float -> (Key.t * int) array -> Layout.shape
   val load_sorted : t -> fill:float -> plan:Layout.Placement.t -> (Key.t * int) array -> unit
@@ -950,21 +1072,17 @@ module Make (S : STRUCTURE) = struct
   (* Bulk load with node placement: under a [Blocked] policy, run the
      structure's shape pass, plan target offsets, reserve the extent in
      one aligned range and hand the rebased plan to [load_sorted] —
-     all inside the unwind scope, so an injected fault rolls the
-     reservation back with everything else.  Returns the plan so
+     all inside the unwind scope, so an injected fault, or a key
+     [load_sorted] rejects mid-pass, rolls the reservation back with
+     everything else.  Returns the plan so
      [wrap] can expose it ([ops.layout]) for inspection. *)
   let bulk_load_plan t ?gap ?(fill = 1.0) entries =
     (* A gap request overrides the fill factor: gapped loading {e is}
        loading at the equivalent lower fill. *)
     let fill = match gap with None -> fill | Some g -> Layout.gap_fill ~gap:g in
     if S.root t <> null then invalid_arg (S.name ^ ".bulk_load: index is not empty");
-    let n = Array.length entries in
-    for i = 0 to n - 1 do
-      S.check_load_key t (fst entries.(i));
-      if i > 0 && Key.compare (fst entries.(i - 1)) (fst entries.(i)) >= 0 then
-        invalid_arg (S.name ^ ".bulk_load: keys must be strictly ascending")
-    done;
-    if n = 0 then None
+    (* [load_sorted] checks the keys and their order in its own pass. *)
+    if Array.length entries = 0 then None
     else
       Some
         (guarded t (fun () ->

@@ -27,6 +27,29 @@ val pow2_at_least : int -> int
 val check_rids : Key.t array -> rids:int array -> unit
 (** Raise [Invalid_argument] unless [keys] and [rids] have equal length. *)
 
+(** {2 Bulk-load pass helpers}
+
+    Each tree's bulk load is one ordered pass over the in-hand
+    [(key, rid)] array: it writes the entries, checks the order and
+    encodes partial keys from the in-hand keys, reading no record. *)
+
+val not_ascending : string -> 'a
+(** [not_ascending name] raises
+    [Invalid_argument "<name>.bulk_load: keys must be strictly ascending"],
+    the one order error of every tree's bulk load. *)
+
+val check_ascending : string -> Key.t -> Key.t -> unit
+(** [check_ascending name prev key]: {!not_ascending} unless
+    [prev < key]. *)
+
+val touch_keys : (Key.t * int) array -> int -> int -> int -> int
+(** [touch_keys entries lo hi 0] reads the first byte of the keys of
+    entries [lo] to [hi - 1] (clamped to the array) and returns their
+    sum: independent loads whose cache misses overlap.  The loader runs
+    it on the next node's keys before encoding the current node and
+    keeps the result live with [Sys.opaque_identity].  Plain heap reads:
+    no [Mem] access, fault point or charge. *)
+
 (** Per-tree dereference / node-visit / unwind counters, doubled into
     the process-wide {!Obs.Registry.default} through preallocated
     handles and optionally traced into the tree's ring buffer. *)
@@ -161,6 +184,26 @@ module Entries : sig
       later entries are based on their predecessor.  Out-of-range [i]
       is a no-op.  Partial schemes only. *)
 
+  val encode_pk : ctx -> int -> int -> Key.t -> base:Key.t -> int
+  (** [encode_pk c node i key ~base] stores entry [i]'s partial-key
+      field for the in-hand [key] against the in-hand [base] and returns
+      the sign of [c(key, base)] — one comparison for both.  The field
+      is bit for bit {!Partial_key.encode}'s (bits past a key's end read
+      as zero), written through [units] and {!Layout.write_pk_image};
+      no record is read and nothing is allocated.  Equal keys raise
+      {!not_ascending}; bit-granularity keys equal once zero-padded
+      raise [Invalid_argument].  Partial schemes only. *)
+
+  val encode_pk_initial : ctx -> int -> int -> Key.t -> unit
+  (** As {!encode_pk} against the virtual zero key
+      ({!Partial_key.encode_initial}). *)
+
+  val load_after : ctx -> int -> int -> Key.t -> prev:Key.t -> unit
+  (** [load_after c node i key ~prev]: bulk-load step for an entry
+      whose sorted predecessor is [prev].  Raises {!not_ascending}
+      unless [prev < key]; under a partial scheme the check is the sign
+      of {!encode_pk} against [prev], which also stores the field. *)
+
   val check_pk : ctx -> int -> int -> base:int -> unit
   (** Re-derive entry [i]'s partial key ([base] as for {!fix_pk}) and
       [failwith] on mismatch. *)
@@ -268,8 +311,16 @@ type ops = {
   insert_batch : Key.t array -> rids:int array -> bool array;
   delete_batch : Key.t array -> bool array;
   of_sorted : ?gap:float -> fill:float -> (Key.t * int) array -> unit;
-      (** Bulk load; [gap] (the per-leaf slack fraction, see
-          {!Layout.gap_fill}) overrides [fill] when given. *)
+      (** Bulk load from strictly ascending [(key, rid)] pairs; [gap]
+          (the per-leaf slack fraction, see {!Layout.gap_fill})
+          overrides [fill] when given.  Each in-hand key must equal the
+          key stored in its rid's record: partial keys are encoded from
+          the in-hand keys, and no record is read.  The order is checked
+          in the loading pass itself: a bad input raises
+          [Invalid_argument] inside the unwind scope and leaves the
+          index empty and loadable — but with [Fault.set_unwind false]
+          it can leave a partial tree behind, as a failing insert
+          already can. *)
   compact : ?gap:float -> unit -> unit;
       (** Replay the live tree through the bulk-load pipeline in place:
           collect the (key, rid) pairs, free every node, and rebuild
@@ -398,8 +449,6 @@ module type STRUCTURE = sig
       resolve it through the same hooks as [descend] — no permutation,
       no [prepare_batch]. *)
 
-  val check_load_key : t -> Key.t -> unit
-
   val layout_policy : t -> Layout.policy
   (** Node-placement policy bulk loads build under. *)
 
@@ -409,7 +458,10 @@ module type STRUCTURE = sig
 
   val load_sorted : t -> fill:float -> plan:Layout.Placement.t -> (Key.t * int) array -> unit
   (** Build bottom-up, allocating each node at the plan's target offset
-      (plain 64-byte-aligned allocation under the flat plan). *)
+      (plain 64-byte-aligned allocation under the flat plan), in one
+      pass that also checks each key (the tree's own admission check)
+      and the strict ascending order ({!not_ascending}).  The engine
+      does not walk the entries itself. *)
 
   val clear : t -> unit
   (** Free every node and reset the scalar header to the empty-tree

@@ -560,8 +560,11 @@ let check_load_key t k =
 
 (* Leaf level: greedy byte packing.  [packed_size] is monotone in the
    entry list (adding an entry can only shrink the shared prefix), so
-   the greedy cut is safe. *)
-let plan_leaf_sizes ~budget entries =
+   the greedy cut is safe.  This is the load's first ordered pass over
+   the entries, in [load_shape] and [load_sorted] alike, so it also
+   admits each key and checks the strict order before any separator is
+   derived from an adjacent pair. *)
+let plan_leaf_sizes t ~budget entries =
   let n = Array.length entries in
   let sizes = ref [] in
   let group = ref [] in
@@ -569,6 +572,8 @@ let plan_leaf_sizes ~budget entries =
   let count = ref 0 in
   for i = 0 to n - 1 do
     let e = entries.(i) in
+    check_load_key t (fst e);
+    if i > 0 then Engine.check_ascending "Prefix_btree" (fst entries.(i - 1)) (fst e);
     if !count > 0 && packed_size (List.rev (e :: !group)) > budget then begin
       sizes := !count :: !sizes;
       group := [];
@@ -627,7 +632,7 @@ let load_shape t ~fill entries =
            let first = fst entries.(!pos) and last = fst entries.(!pos + sz - 1) in
            pos := !pos + sz;
            (first, last))
-         (plan_leaf_sizes ~budget entries))
+         (plan_leaf_sizes t ~budget entries))
   in
   let rec go fl acc =
     if Array.length fl = 1 then acc
@@ -681,7 +686,7 @@ let load_sorted t ~fill ~plan entries =
            pos := !pos + sz;
            incr li;
            (node, first, last))
-         (plan_leaf_sizes ~budget entries))
+         (plan_leaf_sizes t ~budget entries))
   in
   (* Chain the leaves. *)
   Array.iteri
@@ -884,7 +889,6 @@ module Structure = struct
   let prepare_batch t _keys n = Scratch.grow_perm t.sc n
   let descend t n = Group.drive (router t) t.root 0 n
   let descend_one t slot = Group.drive1 (router t) t.root slot
-  let check_load_key = check_load_key
   let layout_policy t = t.layout
   let load_shape = load_shape
   let load_sorted = load_sorted

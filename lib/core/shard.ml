@@ -338,11 +338,14 @@ module Engine = struct
     in
     let of_sorted ?gap ~fill entries =
       (* A stable partition of ascending entries keeps each shard's
-         slice strictly ascending, as its bulk load requires. *)
+         slice strictly ascending, as its bulk load requires.  A slice
+         can be ascending when the whole input is not, so the routing
+         pass checks the whole input's order. *)
       let k = Array.length subs in
       let counts = Array.make k 0 in
-      Array.iter
-        (fun (key, _) ->
+      Array.iteri
+        (fun i (key, _) ->
+          if i > 0 then Engine.check_ascending t.stag (fst entries.(i - 1)) key;
           let r = Partition.route t.part key in
           counts.(r) <- counts.(r) + 1)
         entries;

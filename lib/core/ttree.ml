@@ -624,36 +624,66 @@ let load_shape t ~fill entries =
     shape_levels = Array.init (!deepest + 1) (fun d -> Array.of_list (List.rev acc.(d)));
   }
 
+(* Per-key admission check, run inside the loading pass. *)
+let check_load_key t k =
+  match t.cfg.scheme with
+  | Layout.Direct { key_len } ->
+      if Bytes.length k <> key_len then
+        invalid_arg
+          (Printf.sprintf "Ttree.bulk_load: direct scheme expects %d-byte keys, got %d" key_len
+             (Bytes.length k))
+  | Layout.Indirect | Layout.Partial _ -> ()
+
+(* Each chunk is written, checked and encoded in one pass over its
+   entries: entry [j >= 1] is based on entry [j - 1], so the comparison
+   that encodes it is the order check of that pair; entry 0 is encoded
+   against the parent's entry 0, and its pair with the previous
+   chunk's last key is checked apart.  Before a chunk is encoded, the
+   keys of the chunk built next are touched so their cache misses
+   overlap.  No record is read. *)
 let load_sorted t ~fill ~plan entries =
   let n = Array.length entries in
   let c, m = chunking t ~fill n in
+  let key g = fst entries.(g) in
+  let partial = is_partial t in
   (* Per-depth child-index counters mirroring [load_shape]'s walk, so
      node (depth, idx) lands on the same planner coordinate. *)
   let next_idx = Array.make max_depth 0 in
-  (* Chunk [i] holds entries [i*c, min ((i+1)*c, n)). *)
-  let rec build clo chi ~base ~d ~idx =
+  (* Chunk [i] holds entries [i*c, min ((i+1)*c, n)).  [base]: global
+     index of the parent's entry 0 (-1 = the virtual zero key);
+     [after]: the chunk built right after this subtree (-1 = none). *)
+  let rec build clo chi ~base ~after ~d ~idx =
     if clo >= chi then (null, 0)
     else begin
       let mid = (clo + chi) / 2 in
       let start = mid * c in
       let sz = min c (n - start) in
       let node = alloc_node_at t plan ~level:d ~index:idx in
+      (* Pre-order: the left child's chunk is built next, else the
+         right child's, else whatever follows this subtree. *)
+      let right_after = if mid + 1 < chi then (mid + 1 + chi) / 2 else after in
+      let next = if clo < mid then (clo + mid) / 2 else right_after in
+      if next >= 0 then
+        ignore (Sys.opaque_identity (Engine.touch_keys entries (next * c) ((next + 1) * c) 0));
       for j = 0 to sz - 1 do
-        write_entry t node j ~key:(fst entries.(start + j)) ~rid:(snd entries.(start + j))
+        let g = start + j in
+        let kg = key g in
+        check_load_key t kg;
+        write_entry t node j ~key:kg ~rid:(snd entries.(g));
+        if j > 0 then Entries.load_after t.ec node j kg ~prev:(key (g - 1))
+        else begin
+          if g > 0 then Engine.check_ascending t.ec.Entries.name (key (g - 1)) kg;
+          if partial then
+            if base < 0 then Entries.encode_pk_initial t.ec node 0 kg
+            else ignore (Entries.encode_pk t.ec node 0 kg ~base:(key base) : int)
+        end
       done;
       set_num_keys t node sz;
-      if is_partial t then begin
-        fix_pk t node 0 ~base;
-        for j = 1 to sz - 1 do
-          fix_pk t node j ~base:null
-        done
-      end;
-      let k0 = snd entries.(start) in
       let nl = if clo < mid then 1 else 0 and nr = if mid + 1 < chi then 1 else 0 in
       let cbase = next_idx.(d + 1) in
       next_idx.(d + 1) <- cbase + nl + nr;
-      let l, hl = build clo mid ~base:k0 ~d:(d + 1) ~idx:cbase in
-      let r, hr = build (mid + 1) chi ~base:k0 ~d:(d + 1) ~idx:(cbase + nl) in
+      let l, hl = build clo mid ~base:start ~after:right_after ~d:(d + 1) ~idx:cbase in
+      let r, hr = build (mid + 1) chi ~base:start ~after ~d:(d + 1) ~idx:(cbase + nl) in
       set_left t node l;
       set_right t node r;
       let h = 1 + max hl hr in
@@ -661,7 +691,7 @@ let load_sorted t ~fill ~plan entries =
       (node, h)
     end
   in
-  let root, _ = build 0 m ~base:null ~d:0 ~idx:0 in
+  let root, _ = build 0 m ~base:(-1) ~after:(-1) ~d:0 ~idx:0 in
   t.root <- root;
   t.n_keys <- n
 
@@ -769,15 +799,6 @@ module Structure = struct
     if is_partial t then
       Scratch.seed_findnode t.sc (Entries.granularity t.ec) t.sc.Scratch.keys (slot + 1);
     Tgroup.drive1 (tdriver t) t.root null slot
-
-  let check_load_key t k =
-    match t.cfg.scheme with
-    | Layout.Direct { key_len } ->
-        if Bytes.length k <> key_len then
-          invalid_arg
-            (Printf.sprintf "Ttree.bulk_load: direct scheme expects %d-byte keys, got %d" key_len
-               (Bytes.length k))
-    | Layout.Indirect | Layout.Partial _ -> ()
 
   let layout_policy t = t.cfg.layout
   let load_shape = load_shape

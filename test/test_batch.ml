@@ -172,40 +172,204 @@ let check_bulk_load (name, make) seed =
     [ 0.5; 0.75; 1.0 ];
   true
 
+(* The loaders check the order inside their one loading pass, where
+   each tree compares different pairs: a B-tree leaf entry against its
+   sorted predecessor and the separator promoted after a leaf against
+   the leaf's last key apart; a T-tree entry against its in-chunk
+   predecessor and a chunk's first key against the previous chunk's
+   last apart; the prefix B+-tree and the sharded engine in their own
+   ordered passes.  So a swap and a duplicate go at every adjacent
+   pair — the first and the last pair, each pair whose second key a
+   B-tree promotes as a separator, each T-tree chunk boundary — on
+   every registry tag and every scheme of [makers].  Each bad input
+   must raise the shared message inside the unwind scope, leaving the
+   index empty and loadable. *)
+let ascending_msg = ".bulk_load: keys must be strictly ascending"
+
 let test_bulk_load_errors () =
+  let registry =
+    List.map (fun tag -> (tag, Index.Registry.build ~key_len tag)) (Index.Registry.tags ())
+  in
   List.iter
     (fun (name, make) ->
       let mem, records = Support.make_env () in
       let ix = make mem records in
       let keys = Support.sorted_keys ~seed:3 ~key_len ~alphabet:8 50 in
+      let keys = Array.of_list (List.sort_uniq Key.compare (Array.to_list keys)) in
+      let n = Array.length keys in
       let entries =
         Array.map (fun k -> (k, Record_store.insert records ~key:k ~payload:Bytes.empty)) keys
       in
-      (* Unsorted input is rejected. *)
-      let swapped = Array.copy entries in
-      let tmp = swapped.(10) in
-      swapped.(10) <- swapped.(11);
-      swapped.(11) <- tmp;
-      (try
-         ix.Index.of_sorted ~fill:1.0 swapped;
-         Alcotest.failf "%s: unsorted input accepted" name
-       with Invalid_argument _ -> ());
-      (* Duplicates are rejected (not strictly ascending). *)
-      let dup = Array.copy entries in
-      dup.(20) <- dup.(21);
-      (try
-         ix.Index.of_sorted ~fill:1.0 dup;
-         Alcotest.failf "%s: duplicate input accepted" name
-       with Invalid_argument _ -> ());
-      (* Failed validation left the index untouched and loadable. *)
+      let rejects what bad =
+        (match ix.Index.of_sorted ~fill:1.0 bad with
+        | () -> Alcotest.failf "%s: %s accepted" name what
+        | exception Invalid_argument msg ->
+            if not (String.ends_with ~suffix:ascending_msg msg) then
+              Alcotest.failf "%s: %s raised %S" name what msg);
+        if ix.Index.count () <> 0 then
+          Alcotest.failf "%s: %s left %d keys" name what (ix.Index.count ())
+      in
+      for i = 0 to n - 2 do
+        let swapped = Array.copy entries in
+        swapped.(i) <- entries.(i + 1);
+        swapped.(i + 1) <- entries.(i);
+        rejects (Printf.sprintf "swap at %d" i) swapped;
+        let dup = Array.copy entries in
+        dup.(i) <- entries.(i + 1);
+        rejects (Printf.sprintf "duplicate at %d" i) dup
+      done;
+      (* Failed loads left the index untouched and loadable. *)
       ix.Index.of_sorted ~fill:1.0 entries;
       ix.Index.validate ();
+      if ix.Index.count () <> n then
+        Alcotest.failf "%s: count %d after the valid load" name (ix.Index.count ());
       (* A second bulk load on a non-empty index is rejected. *)
       try
         ix.Index.of_sorted ~fill:1.0 entries;
         Alcotest.failf "%s: bulk load on non-empty index accepted" name
       with Invalid_argument _ -> ())
-    makers
+    (registry @ makers)
+
+(* {2 Bulk-load encoder == reference encoder}
+
+   A bulk load encodes each partial key from the in-hand keys with
+   [Entries.encode_pk] instead of reading records.  Random key sets
+   stress its corners: lengths 1-24, keys that are proper prefixes of
+   others, zero bytes (alphabets 2-256 draw byte values from 0), the
+   all-zero key.  Under bit granularity bits past a key's end read as
+   zero, so a bit set keeps one key per zero-padded value (two keys
+   equal once padded have no difference bit).  Each loaded B-tree and
+   T-tree must validate — [validate] re-derives every stored field with
+   the reference encoder — and, field by field, [encode_pk] must write
+   the bytes the record-reading [fix_pk] writes and decode to
+   [Partial_key.encode]'s output. *)
+
+module Partial_key = Pk_partialkey.Partial_key
+module Engine = Pk_core.Engine
+module Mem = Pk_mem.Mem
+
+let strip_zeros k =
+  let n = ref (Bytes.length k) in
+  while !n > 0 && Bytes.get k (!n - 1) = '\000' do
+    decr n
+  done;
+  Bytes.sub_string k 0 !n
+
+let random_key_set rng ~bits =
+  let alphabet = 2 + Prng.int rng 255 in
+  let rand_key len = Bytes.init len (fun _ -> Char.chr (Prng.int rng alphabet)) in
+  let base = List.init (20 + Prng.int rng 200) (fun _ -> rand_key (1 + Prng.int rng 24)) in
+  let derived =
+    List.concat_map
+      (fun k ->
+        let len = Bytes.length k in
+        let prefix = Bytes.sub k 0 (1 + Prng.int rng len) in
+        (* An extension by random bytes and one by a zero byte. *)
+        let exts =
+          if len < 24 then
+            [
+              Bytes.cat k (rand_key (1 + Prng.int rng (24 - len)));
+              Bytes.cat k (Bytes.make 1 '\000');
+            ]
+          else []
+        in
+        prefix :: exts)
+      (List.filteri (fun i _ -> i mod 3 = 0) base)
+  in
+  let zeros = [ Bytes.make (1 + Prng.int rng 24) '\000' ] in
+  let keys = List.sort_uniq Key.compare (zeros @ base @ derived) in
+  let keys =
+    if not bits then keys
+    else begin
+      let seen = Hashtbl.create 64 in
+      List.filter
+        (fun k ->
+          let z = strip_zeros k in
+          (not (Hashtbl.mem seen z))
+          && begin
+               Hashtbl.add seen z ();
+               true
+             end)
+        keys
+    end
+  in
+  Array.of_list keys
+
+let check_fields ~granularity ~l_bytes keys =
+  let scheme = Layout.Partial { granularity; l_bytes } in
+  let mem, records = Support.make_env () in
+  let reg = Mem.new_region mem ~name:"encoder" () in
+  let c =
+    Engine.Entries.make ~name:"Encoder" ~reg ~records ~scheme ~entries_at:0
+      (Engine.Counters.create ())
+  in
+  let esz = Layout.entry_size scheme in
+  let via_records = Mem.alloc reg (2 * esz) and in_hand = Mem.alloc reg (2 * esz) in
+  let field node i =
+    Mem.read_bytes reg ~off:(Engine.Entries.entry_addr c node i + 8) ~len:(4 + l_bytes)
+  in
+  let rids = Array.map (fun k -> Record_store.insert records ~key:k ~payload:Bytes.empty) keys in
+  let expect_field what node i (e : Partial_key.t) =
+    let got = Layout.read_pk reg (Engine.Entries.entry_addr c node i) ~granularity in
+    if
+      got.Partial_key.pk_off <> e.Partial_key.pk_off
+      || got.Partial_key.pk_len <> e.Partial_key.pk_len
+      || not (Bytes.equal got.Partial_key.pk_bits e.Partial_key.pk_bits)
+    then Alcotest.failf "%s: field differs from the reference encoder" what
+  in
+  let same_bytes what =
+    List.iter
+      (fun i ->
+        if not (Bytes.equal (field via_records i) (field in_hand i)) then
+          Alcotest.failf "%s: entry %d bytes %S (records) vs %S (in hand)" what i
+            (Bytes.to_string (field via_records i))
+            (Bytes.to_string (field in_hand i)))
+      [ 0; 1 ]
+  in
+  let pair b k =
+    let what = Printf.sprintf "key %s base %s" (Key.to_hex keys.(k)) (Key.to_hex keys.(b)) in
+    Engine.Entries.write_entry c via_records 0 ~key:keys.(b) ~rid:rids.(b);
+    Engine.Entries.write_entry c via_records 1 ~key:keys.(k) ~rid:rids.(k);
+    Engine.Entries.fix_pk c via_records 0 ~n:2 ~base:Engine.null;
+    Engine.Entries.fix_pk c via_records 1 ~n:2 ~base:Engine.null;
+    Engine.Entries.encode_pk_initial c in_hand 0 keys.(b);
+    let s = Engine.Entries.encode_pk c in_hand 1 keys.(k) ~base:keys.(b) in
+    if s <> compare (Key.compare keys.(k) keys.(b)) 0 then Alcotest.failf "%s: sign %d" what s;
+    same_bytes what;
+    expect_field what in_hand 0 (Partial_key.encode_initial granularity ~l_bytes ~key:keys.(b));
+    expect_field what in_hand 1
+      (Partial_key.encode granularity ~l_bytes ~base:keys.(b) ~key:keys.(k))
+  in
+  let n = Array.length keys in
+  for i = 1 to n - 1 do
+    (* Sorted neighbours both ways, and a far pair (a T-tree parent). *)
+    pair (i - 1) i;
+    pair i (i - 1);
+    let far = i * 7919 mod n in
+    if far <> i then pair i far
+  done
+
+let check_encoder_equivalence seed =
+  let rng = Prng.create (Int64.of_int seed) in
+  let granularity = if Prng.bool rng then Partial_key.Byte else Partial_key.Bit in
+  let l_bytes = [| 0; 1; 2; 4 |].(Prng.int rng 4) in
+  let fill = 0.5 +. (float_of_int (Prng.int rng 51) /. 100.0) in
+  let keys = random_key_set rng ~bits:(granularity = Partial_key.Bit) in
+  let scheme = Layout.Partial { granularity; l_bytes } in
+  List.iter
+    (fun st ->
+      let mem, records = Support.make_env () in
+      let ix = Index.make st scheme mem records in
+      let entries =
+        Array.map (fun k -> (k, Record_store.insert records ~key:k ~payload:Bytes.empty)) keys
+      in
+      ix.Index.of_sorted ~fill entries;
+      ix.Index.validate ();
+      if List.map fst (dump ix) <> Array.to_list keys then
+        Alcotest.failf "%s (seed %d): loaded keys differ" ix.Index.tag seed)
+    [ Index.B_tree; Index.T_tree ];
+  check_fields ~granularity ~l_bytes keys;
+  true
 
 (* Out-of-range fill factors are clamped, not fatal. *)
 let test_fill_clamped () =
@@ -372,14 +536,16 @@ let test_update_alloc () =
    A bulk load runs under one unwind scope, but every node it writes
    is fresh memory above the arena's frontier at [begin_txn]: the undo
    log records none of it (an abort re-zeroes the range instead), and
-   partial keys are encoded in place.  pkB paid 71.7 minor words per
-   key when each of those stores was logged and each encode copied two
-   keys.  The gate counts every allocated word, minor and major,
-   because a grown undo log lands on the major heap.  pkB measures
-   1.8 words per key, most of it the loader's array of entry indices,
-   and pkT 0.7; logging the fresh nodes again would add about 20. *)
+   partial keys are encoded from the in-hand keys.  pkB paid 71.7
+   minor words per key when each of those stores was logged and each
+   encode copied two keys, and 1.8 while the leaf level kept an array
+   of entry indices.  The gate counts every allocated word, minor and
+   major, because a grown undo log lands on the major heap.  pkB
+   measures 0.80 words per key and pkT 0.65, most of it the undo log's
+   one allocation record per node; logging the fresh nodes again would
+   add about 20.  Bounds are those figures plus about 15%. *)
 
-let bulk_alloc_bounds = [ ("pkB", 5.0); ("pkT", 5.0) ]
+let bulk_alloc_bounds = [ ("pkB", 0.92); ("pkT", 0.75) ]
 
 let test_bulk_alloc () =
   List.iter
@@ -398,9 +564,45 @@ let test_bulk_alloc () =
       in
       ix.Index.validate ();
       if per_key > bound then
-        Alcotest.failf "%s: %.2f words allocated per bulk-loaded key, bound %.0f" tag per_key
+        Alcotest.failf "%s: %.2f words allocated per bulk-loaded key, bound %.2f" tag per_key
           bound)
     bulk_alloc_bounds
+
+(* {2 Bulk loads read no record}
+
+   The loader encodes partial keys from the in-hand keys, so a pkB or
+   pkT bulk load touches only the tree's own memory.  The records live
+   in a memory system of their own, with its own cache simulator;
+   tracing both across the load, the records' simulator must see no
+   access at all (each record read would be one), while the tree's
+   sees its node writes. *)
+let test_bulk_no_record_reads () =
+  let module Mem = Pk_mem.Mem in
+  let module Cachesim = Pk_cachesim.Cachesim in
+  let module Machine = Pk_cachesim.Machine in
+  List.iter
+    (fun tag ->
+      let traced () = Mem.create ~cache:(Cachesim.create (Machine.to_config Machine.ultra30)) () in
+      let rec_mem = traced () and tree_mem = traced () in
+      let records = Record_store.create rec_mem in
+      let ix = Index.Registry.build ~key_len tag tree_mem records in
+      let keys = Support.sorted_keys ~seed:37 ~key_len ~alphabet:200 20_000 in
+      let keys = Array.of_list (List.sort_uniq Key.compare (Array.to_list keys)) in
+      let entries =
+        Array.map (fun k -> (k, Record_store.insert records ~key:k ~payload:Bytes.empty)) keys
+      in
+      let accesses m =
+        (Cachesim.snapshot (Option.get (Mem.cache m))).Cachesim.total_accesses
+      in
+      let r0 = accesses rec_mem and t0 = accesses tree_mem in
+      Mem.with_tracing rec_mem true (fun () ->
+          Mem.with_tracing tree_mem true (fun () -> ix.Index.of_sorted ~fill:1.0 entries));
+      let record_accesses = accesses rec_mem - r0 and tree_accesses = accesses tree_mem - t0 in
+      if record_accesses <> 0 then
+        Alcotest.failf "%s: bulk load made %d record-region accesses" tag record_accesses;
+      if tree_accesses = 0 then Alcotest.failf "%s: the tree's accesses were not traced" tag;
+      ix.Index.validate ())
+    [ "pkB"; "pkT" ]
 
 (* Singles between two identical batches run through the tree's one-slot
    scratch: the second batch must re-aim the scratch at its own arrays
@@ -467,6 +669,10 @@ let () =
       ("batch-lookup", seeds_for check_batch_lookup makers);
       ("batch-mutations", seeds_for check_batch_mutations makers);
       ("bulk-load", seeds_for check_bulk_load makers);
+      ( "bulk-load-encoder",
+        [
+          Support.seeded_qtest ~count:60 "in-hand encoder = reference" check_encoder_equivalence;
+        ] );
       ( "bulk-load-edges",
         [
           Alcotest.test_case "errors" `Quick test_bulk_load_errors;
@@ -478,6 +684,10 @@ let () =
           Alcotest.test_case "every scheme single lookup" `Quick test_zero_alloc_single;
           Alcotest.test_case "steady insert and delete" `Quick test_update_alloc;
           Alcotest.test_case "bulk load" `Quick test_bulk_alloc;
+        ] );
+      ( "bulk-load-records",
+        [
+          Alcotest.test_case "pkB and pkT loads read no record" `Quick test_bulk_no_record_reads;
         ] );
       ( "interleaved",
         List.map
