@@ -432,12 +432,9 @@ let[@pklint.hot] rec words_scan a a_off b b_off last i =
 
 (* A range that is not wholly in bounds skips nothing: the caller's
    byte loop then reads, and fails, exactly where it always did. *)
-let[@pklint.hot] equal_words_in a a_off b b_off len =
-  if a_off < 0 || b_off < 0 || a_off + len > Bytes.length a || b_off + len > Bytes.length b
-  then 0
-  else words_scan a a_off b b_off (len - 8) 0
-
-let[@pklint.hot] equal_words t ~off b ~b_off ~len = equal_words_in t.data off b b_off len
-let[@pklint.hot] equal_words_within t ~off ~off2 ~len = equal_words_in t.data off t.data off2 len
+let[@pklint.hot] equal_words t ~off b ~b_off ~len =
+  let a = t.data in
+  if off < 0 || b_off < 0 || off + len > Bytes.length a || b_off + len > Bytes.length b then 0
+  else words_scan a off b b_off (len - 8) 0
 
 let sub_bytes t ~off ~len = Bytes.sub t.data off len

@@ -177,9 +177,6 @@ val equal_words : t -> off:int -> bytes -> b_off:int -> len:int -> int
     The word skip of the in-place key comparisons; callers finish the
     scan byte by byte.  Allocation-free. *)
 
-val equal_words_within : t -> off:int -> off2:int -> len:int -> int
-(** {!val:equal_words} of two regions of the same arena. *)
-
 val sub_bytes : t -> off:int -> len:int -> bytes
 (** Copy a region out as fresh [bytes]. *)
 

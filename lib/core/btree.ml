@@ -649,7 +649,7 @@ let load_sorted t ~fill ~plan entries =
         check_load_key t kg;
         write_entry t node (g - lo) ~key:kg ~rid:(snd entries.(g));
         if g > 0 then Entries.load_after t.ec node (g - lo) kg ~prev:(key (g - 1))
-        else if partial then Entries.encode_pk_initial t.ec node 0 kg
+        else if partial then Entries.encode_pk_initial t.ec node 0 kg ~len:(Bytes.length kg)
       done;
       set_num_keys t node sz;
       pos := lo + sz;
@@ -683,11 +683,14 @@ let load_sorted t ~fill ~plan entries =
       for j = 0 to sz - 1 do
         let g = items.(!pos + j) in
         write_entry t node j ~key:(key g) ~rid:(snd entries.(g));
-        if partial then
-          if j > 0 then
-            ignore (Entries.encode_pk t.ec node j (key g) ~base:(key items.(!pos + j - 1)) : int)
-          else if lo_g = 0 then Entries.encode_pk_initial t.ec node 0 (key g)
-          else ignore (Entries.encode_pk t.ec node 0 (key g) ~base:(key (lo_g - 1)) : int)
+        if partial then begin
+          let kg = key g in
+          let len = Bytes.length kg in
+          if j = 0 && lo_g = 0 then Entries.encode_pk_initial t.ec node 0 kg ~len
+          else
+            let kb = key (if j > 0 then items.(!pos + j - 1) else lo_g - 1) in
+            ignore (Entries.encode_pk t.ec node j kg ~len ~base:kb ~base_len:(Bytes.length kb) : int)
+        end
       done;
       set_num_keys t node sz;
       for j = 0 to sz do

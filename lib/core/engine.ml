@@ -279,16 +279,22 @@ module Entries = struct
     cnt : Counters.t;
     units : bytes;
         (* reusable window: the lookup path reads stored units into it,
-           [fix_pk] assembles a partial-key field image in it *)
+           the encoder assembles a partial-key field image in it *)
+    mutable key_win : bytes;
+    mutable base_win : bytes;
+        (* reusable windows [fix_pk] copies an entry's record key and
+           its base's record key into; grown by doubling *)
   }
 
   let make ~name ~reg ~records ~scheme ~entries_at cnt =
-    let units =
+    let units, win =
       match scheme with
-      | Layout.Partial { l_bytes; _ } -> Bytes.create (Layout.pk_image_bytes ~l_bytes)
-      | Layout.Direct _ | Layout.Indirect -> Bytes.empty
+      | Layout.Partial { l_bytes; _ } ->
+          (Bytes.create (Layout.pk_image_bytes ~l_bytes), Bytes.create 32)
+      | Layout.Direct _ | Layout.Indirect -> (Bytes.empty, Bytes.empty)
     in
-    { name; reg; records; scheme; esz = Layout.entry_size scheme; entries_at; cnt; units }
+    { name; reg; records; scheme; esz = Layout.entry_size scheme; entries_at; cnt; units;
+      key_win = win; base_win = Bytes.copy win }
 
   let entry_addr c node i = node + c.entries_at + (i * c.esz)
   let rec_ptr c node i = Layout.rec_ptr c.reg (entry_addr c node i)
@@ -312,33 +318,6 @@ module Entries = struct
   let is_partial c = match c.scheme with Layout.Partial _ -> true | _ -> false
   let[@inline] imin (a : int) b = if a < b then a else b
   let[@inline] imax (a : int) b = if a > b then a else b
-
-  (* Re-encode entry [i]'s partial key against its base: the record of
-     its predecessor entry, or for entry 0 the record [base] ([null] =
-     the virtual zero key).  Bases travel as record pointers.  The
-     difference offset comes from the two record keys compared in
-     place; the stored units — [l] bytes from the difference byte on,
-     or the [8 l] bits after the difference bit — are read from the
-     record straight into the [units] window behind the field header,
-     and the field is stored with one write.  The caller has checked
-     the scheme is partial. *)
-  (* Only called from tree split/merge/insert bodies below an
-     established guard — audited escape. *)
-  let[@pklint.guarded] [@pklint.hot] fix_pk c node i ~n ~base =
-    if i >= 0 && i < n then begin
-      let l = l_bytes c in
-      let rid = rec_ptr c node i in
-      let base = if i = 0 then base else rec_ptr c node (i - 1) in
-      let bits = match granularity c with Partial_key.Bit -> true | Partial_key.Byte -> false in
-      let d = Record_store.diff_keys c.records rid ~base ~bits in
-      let first = if bits then d + 1 else 8 * d in
-      let width = imin (8 * l) (imax 0 ((8 * Record_store.key_len c.records rid) - first)) in
-      Record_store.read_key_bits c.records rid ~first ~width ~dst:c.units
-        ~dst_off:Layout.pk_image_units ~dst_len:(l + 1);
-      Layout.write_pk_image c.reg (entry_addr c node i) ~image:c.units ~pk_off:d
-        ~pk_len:(if bits then width else width / 8)
-        ~l_bytes:l
-    end
 
   (* Re-derive entry [i]'s stored partial key with the reference
      encoder over copied-out record keys, and fail on mismatch
@@ -390,40 +369,44 @@ module Entries = struct
     if i >= 8 * Bytes.length k then 0
     else (Char.code (Bytes.get k (i lsr 3)) lsr (7 - (i land 7))) land 1
 
-  (* {3 Encoding from in-hand keys}
+  (* {3 The partial-key encoder}
 
-     The bulk load's encoder: the same field [fix_pk] stores, derived
-     from keys the loader holds instead of records, so a load reads no
-     record.  [diff_bytes] is the one comparison per entry: its packed
-     sign is the loader's order check, its offset the byte-granularity
+     One encoder derives an entry's field from a key and its base, both
+     held in bytes: a bulk load passes the keys it holds, [fix_pk]
+     windows into which it copies the two record keys.  Each key is a
+     [(bytes, length)] pair, because a window is longer than the key in
+     it.  [diff_bytes] is the one comparison per entry: its packed sign
+     is the loader's order check, its offset the byte-granularity
      difference. *)
 
   (* Packed (sign of c(key, base), first differing byte); a proper
      prefix sorts first, its difference at the shorter length. *)
-  let[@pklint.hot] rec diff_bytes (key : Key.t) (base : Key.t) i common =
-    if i = common then
-      Key.pack_sign (Int.compare (Bytes.length key) (Bytes.length base)) common
+  let[@pklint.hot] rec diff_bytes (key : Key.t) len (base : Key.t) base_len i common =
+    if i = common then Key.pack_sign (Int.compare len base_len) common
     else
       let x = Char.code (Bytes.unsafe_get key i) and y = Char.code (Bytes.unsafe_get base i) in
-      if x = y then diff_bytes key base (i + 1) common
+      if x = y then diff_bytes key len base base_len (i + 1) common
       else Key.pack_sign (if x < y then -1 else 1) i
 
-  let[@pklint.hot] rec first_nonzero (k : Key.t) i =
-    if i = Bytes.length k || Bytes.unsafe_get k i <> '\000' then i else first_nonzero k (i + 1)
+  let[@pklint.hot] rec first_nonzero (k : Key.t) len i =
+    if i = len || Bytes.unsafe_get k i <> '\000' then i else first_nonzero k len (i + 1)
 
-  (* First set bit of [k] at or after byte [i]; [8 * length] when none. *)
-  let[@pklint.hot] first_set_bit (k : Key.t) i =
-    let j = first_nonzero k i in
-    if j = Bytes.length k then 8 * j
+  (* First set bit of [k]'s first [len] bytes at or after byte [i];
+     [8 * len] when none. *)
+  let[@pklint.hot] first_set_bit (k : Key.t) len i =
+    let j = first_nonzero k len i in
+    if j = len then 8 * j
     else (8 * j) + Pk_keys.Bitops.leading_zeros8 (Char.code (Bytes.unsafe_get k j))
+
+  let[@inline] byte_below (k : Key.t) len i = if i < len then Char.code (Bytes.unsafe_get k i) else 0
 
   (* Store entry [i]'s field for [key] with difference offset [d] (in
      the scheme's units): the [l] bytes from the difference byte on, or
      the [8 l] bits after the difference bit, assembled in the [units]
      window — zero past the live units, bits past the key's end read as
      zero — and written with one [Layout.write_pk_image]. *)
-  let[@pklint.guarded] [@pklint.hot] store_pk c node i (key : Key.t) d =
-    let l = l_bytes c and u0 = Layout.pk_image_units and len = Bytes.length key in
+  let[@pklint.guarded] [@pklint.hot] store_pk c node i (key : Key.t) len d =
+    let l = l_bytes c and u0 = Layout.pk_image_units in
     let units = c.units in
     Bytes.fill units u0 (l + 1) '\000';
     let pk_len =
@@ -437,7 +420,7 @@ module Entries = struct
           let width = imin (8 * l) (imax 0 ((8 * len) - first)) in
           let q = first lsr 3 and sh = first land 7 in
           for j = 0 to ((width + 7) / 8) - 1 do
-            let hi = byte_or_zero key (q + j) and lo = byte_or_zero key (q + j + 1) in
+            let hi = byte_below key len (q + j) and lo = byte_below key len (q + j + 1) in
             Bytes.unsafe_set units (u0 + j)
               (Char.unsafe_chr (((hi lsl sh) lor (lo lsr (8 - sh))) land 0xff))
           done;
@@ -445,38 +428,44 @@ module Entries = struct
     in
     Layout.write_pk_image c.reg (entry_addr c node i) ~image:units ~pk_off:d ~pk_len ~l_bytes:l
 
-  (* Encode entry [i]'s field for the in-hand [key] against the in-hand
-     [base]; returns the sign of c(key, base).  Equal keys raise the
-     ascending-order error; under bit granularity, bits past a key's
-     end read as zero, so a proper prefix differs at the longer key's
-     first set bit past it.  Partial schemes only. *)
-  let[@pklint.guarded] [@pklint.hot] encode_pk c node i (key : Key.t) ~(base : Key.t) =
-    let p = diff_bytes key base 0 (imin (Bytes.length key) (Bytes.length base)) in
+  (* Encode entry [i]'s field for [key] against [base]; returns the sign
+     of c(key, base), 0 — storing nothing — when they are equal.  Under
+     bit granularity, bits past a key's end read as zero, so a proper
+     prefix differs at the longer key's first set bit past it.  Partial
+     schemes only. *)
+  let[@pklint.guarded] [@pklint.hot] encode_pk c node i (key : Key.t) ~len ~(base : Key.t)
+      ~base_len =
+    let p = diff_bytes key len base base_len 0 (imin len base_len) in
     let s = Key.packed_sign p and o = Key.packed_off p in
-    if s = 0 then (not_ascending c.name [@pklint.cold]);
-    let d =
-      match granularity c with
-      | Partial_key.Byte -> o
-      | Partial_key.Bit ->
-          if o < Bytes.length key && o < Bytes.length base then
-            (8 * o)
-            + Pk_keys.Bitops.leading_zeros8
-                (Char.code (Bytes.unsafe_get key o) lxor Char.code (Bytes.unsafe_get base o))
-          else
-            let long = if s > 0 then key else base in
-            let b = first_set_bit long o in
-            if b = 8 * Bytes.length long then
-              (invalid_arg (c.name ^ ".bulk_load: a key equals its base once zero-padded")
-              [@pklint.cold]);
-            b
-    in
-    store_pk c node i key d;
+    if s <> 0 then begin
+      let d =
+        match granularity c with
+        | Partial_key.Byte -> o
+        | Partial_key.Bit ->
+            if o < len && o < base_len then
+              (8 * o)
+              + Pk_keys.Bitops.leading_zeros8
+                  (Char.code (Bytes.unsafe_get key o) lxor Char.code (Bytes.unsafe_get base o))
+            else
+              let long_len = if s > 0 then len else base_len in
+              let b = if s > 0 then first_set_bit key len o else first_set_bit base base_len o in
+              if b = 8 * long_len then
+                (invalid_arg (c.name ^ ": a key equals its base once zero-padded")
+                [@pklint.cold]);
+              b
+      in
+      store_pk c node i key len d
+    end;
     s
 
   (* Encode entry [i]'s field for [key] against the virtual zero key:
-     the difference is the lookup path's initial state. *)
-  let[@pklint.guarded] [@pklint.hot] encode_pk_initial c node i (key : Key.t) =
-    store_pk c node i key (Key.packed_off (Partial_key.initial_state (granularity c) key))
+     the difference is the key's first nonzero unit (the lookup path's
+     initial state). *)
+  let[@pklint.guarded] [@pklint.hot] encode_pk_initial c node i (key : Key.t) ~len =
+    store_pk c node i key len
+      (match granularity c with
+      | Partial_key.Byte -> first_nonzero key len 0
+      | Partial_key.Bit -> first_set_bit key len 0)
 
   (* Bulk load: entry [i] of [node] takes [key], which follows [prev]
      in the sorted input.  Check the pair's order — under a partial
@@ -485,8 +474,41 @@ module Entries = struct
   let[@pklint.guarded] [@pklint.hot] load_after c node i (key : Key.t) ~(prev : Key.t) =
     match c.scheme with
     | Layout.Partial _ ->
-        if encode_pk c node i key ~base:prev < 0 then (not_ascending c.name [@pklint.cold])
+        if encode_pk c node i key ~len:(Bytes.length key) ~base:prev
+             ~base_len:(Bytes.length prev)
+           <= 0
+        then (not_ascending c.name [@pklint.cold])
     | Layout.Direct _ | Layout.Indirect -> check_ascending c.name prev key
+
+  (* A window of [n] bytes doubled until it holds [len]. *)
+  let rec grown n len = if n >= len then Bytes.create n else grown (2 * n) len
+
+  (* Re-encode entry [i]'s partial key against its base: the record of
+     its predecessor entry, or for entry 0 the record [base] ([null] =
+     the virtual zero key).  Bases travel as record pointers.  Each
+     record key is copied with one read into its window, then encoded
+     as a bulk load encodes in-hand keys.  The caller has checked the
+     scheme is partial. *)
+  (* Only called from tree split/merge/insert bodies below an
+     established guard — audited escape. *)
+  let[@pklint.guarded] [@pklint.hot] fix_pk c node i ~n ~base =
+    if i >= 0 && i < n then begin
+      let rid = rec_ptr c node i in
+      let base = if i = 0 then base else rec_ptr c node (i - 1) in
+      let len = Record_store.key_len c.records rid in
+      let w = Bytes.length c.key_win in
+      if len > w then (c.key_win <- grown (2 * w) len [@pklint.cold]);
+      Record_store.read_key_into c.records rid ~len c.key_win;
+      if base = null then encode_pk_initial c node i c.key_win ~len
+      else begin
+        let base_len = Record_store.key_len c.records base in
+        let w = Bytes.length c.base_win in
+        if base_len > w then (c.base_win <- grown (2 * w) base_len [@pklint.cold]);
+        Record_store.read_key_into c.records base ~len:base_len c.base_win;
+        if encode_pk c node i c.key_win ~len ~base:c.base_win ~base_len = 0 then
+          (invalid_arg (c.name ^ ": an entry's key equals its base's") [@pklint.cold])
+      end
+    end
 
   (* Full comparison of the search key against entry [i]'s record key:
      (c(search, key_i), d) in the scheme's granularity units, packed. *)

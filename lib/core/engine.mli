@@ -160,6 +160,10 @@ module Entries : sig
         (** [l_bytes]-long window FINDNODE reads an entry's stored
             units into ({!Layout.resolve_pk_units}); empty for the
             plain schemes. *)
+    mutable key_win : bytes;
+    mutable base_win : bytes;
+        (** {!fix_pk}'s reusable record-key windows: 32 bytes, doubled
+            when a key does not fit; empty for the plain schemes. *)
   }
 
   val make :
@@ -181,20 +185,23 @@ module Entries : sig
   val fix_pk : ctx -> int -> int -> n:int -> base:int -> unit
   (** Recompute entry [i]'s stored partial key.  [base] is the record
       pointer of entry 0's base key ([null] = the virtual zero key);
-      later entries are based on their predecessor.  Out-of-range [i]
-      is a no-op.  Partial schemes only. *)
+      later entries are based on their predecessor.  Copies the two
+      record keys into [key_win] / [base_win] and encodes them with
+      {!encode_pk}.  Out-of-range [i] is a no-op.  An entry key equal to
+      its base's raises [Invalid_argument].  Partial schemes only. *)
 
-  val encode_pk : ctx -> int -> int -> Key.t -> base:Key.t -> int
-  (** [encode_pk c node i key ~base] stores entry [i]'s partial-key
-      field for the in-hand [key] against the in-hand [base] and returns
-      the sign of [c(key, base)] — one comparison for both.  The field
-      is bit for bit {!Partial_key.encode}'s (bits past a key's end read
-      as zero), written through [units] and {!Layout.write_pk_image};
-      no record is read and nothing is allocated.  Equal keys raise
-      {!not_ascending}; bit-granularity keys equal once zero-padded
+  val encode_pk :
+    ctx -> int -> int -> Key.t -> len:int -> base:Key.t -> base_len:int -> int
+  (** [encode_pk c node i key ~len ~base ~base_len] stores entry [i]'s
+      field for the first [len] bytes of [key] against the first
+      [base_len] of [base] and returns the sign of [c(key, base)]; equal
+      keys store nothing.  The write path's one encoder: bit for bit
+      {!Partial_key.encode}'s field (bits past a key's end read as
+      zero), written with {!Layout.write_pk_image}; reads no record,
+      allocates nothing.  Bit-granularity keys equal once zero-padded
       raise [Invalid_argument].  Partial schemes only. *)
 
-  val encode_pk_initial : ctx -> int -> int -> Key.t -> unit
+  val encode_pk_initial : ctx -> int -> int -> Key.t -> len:int -> unit
   (** As {!encode_pk} against the virtual zero key
       ({!Partial_key.encode_initial}). *)
 

@@ -674,8 +674,12 @@ let load_sorted t ~fill ~plan entries =
         else begin
           if g > 0 then Engine.check_ascending t.ec.Entries.name (key (g - 1)) kg;
           if partial then
-            if base < 0 then Entries.encode_pk_initial t.ec node 0 kg
-            else ignore (Entries.encode_pk t.ec node 0 kg ~base:(key base) : int)
+            let len = Bytes.length kg in
+            if base < 0 then Entries.encode_pk_initial t.ec node 0 kg ~len
+            else
+              let kb = key base in
+              ignore
+                (Entries.encode_pk t.ec node 0 kg ~len ~base:kb ~base_len:(Bytes.length kb) : int)
         end
       done;
       set_num_keys t node sz;

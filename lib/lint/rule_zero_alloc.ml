@@ -1,6 +1,6 @@
 (* zero-alloc-hot: a function marked [@pklint.hot] is on a path whose
    steady state must not touch the OCaml heap — the batched lookup
-   path, the undo log's append and the in-place partial-key encoder
+   path, the undo log's append and the partial-key encoder
    (the contract test_batch asserts dynamically via [Gc.minor_words],
    but only on the schemes and inputs it runs).  The rule rejects every
    syntactically allocating expression in the marked function's body —

@@ -209,11 +209,6 @@ let[@inline] skip_words r off probe key_off common =
   | None -> Arena.equal_words r.arena ~off probe ~b_off:key_off ~len:common
   | Some _ -> 0
 
-let[@inline] skip_words_within r off off2 common =
-  match r.view with
-  | None -> Arena.equal_words_within r.arena ~off ~off2 ~len:common
-  | Some _ -> 0
-
 (* Top-level recursion (not an inner [let rec]) so no closure is
    allocated: the comparison is on every lookup's hot path and must not
    touch the OCaml heap.  Returns the packed [(diff lsl 2) lor (sign + 1)]. *)
@@ -236,38 +231,6 @@ let[@pklint.hot] compare_detail r ~off ~len probe ~key_off ~key_len =
   let examined = imin ((p lsr 2) + 1) common in
   if examined > 0 then charge r off examined;
   p
-
-(* Two regions of one arena compared in place, with [compare_detail]'s
-   packing: the partial-key encoder's difference of two record keys. *)
-let[@pklint.hot] rec pair_scan r off (len : int) off2 (len2 : int) common i =
-  if i >= common then
-    (common lsl 2) lor (if len = len2 then 1 else if len < len2 then 0 else 2)
-  else
-    let a = view_get_u8 r (off + i) in
-    let b = view_get_u8 r (off2 + i) in
-    if a <> b then (i lsl 2) lor (if a < b then 0 else 2)
-    else pair_scan r off len off2 len2 common (i + 1)
-
-let[@pklint.hot] compare_within r ~off ~len ~off2 ~len2 =
-  Fault.point "mem.read";
-  let common = imin len len2 in
-  let p = pair_scan r off len off2 len2 common (skip_words_within r off off2 common) in
-  let examined = imin ((p lsr 2) + 1) common in
-  if examined > 0 then begin
-    charge r off examined;
-    charge r off2 examined
-  end;
-  p
-
-let[@pklint.hot] rec zero_scan r off (len : int) i =
-  if i >= len || view_get_u8 r (off + i) <> 0 then i else zero_scan r off len (i + 1)
-
-let[@pklint.hot] first_nonzero r ~off ~len =
-  Fault.point "mem.read";
-  let i = zero_scan r off len 0 in
-  let examined = imin (i + 1) len in
-  if examined > 0 then charge r off examined;
-  i
 
 (* The sign-only scan the direct and indirect lookups run: it charges
    as it returns, sparing them [compare_detail]'s packing. *)

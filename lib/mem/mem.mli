@@ -139,17 +139,6 @@ val compare_sign :
 (** The sign (-1/0/1) of {!val:compare_detail}, with the same fault
     point and charge; the direct and indirect schemes' comparison. *)
 
-val compare_within : region -> off:int -> len:int -> off2:int -> len2:int -> int
-(** {!val:compare_detail} of the region bytes [\[off, off+len)] against
-    [\[off2, off2+len2)] of the same region, both read in place: one
-    ["mem.read"] fault point, the examined prefix charged on each side.
-    Never allocates. *)
-
-val first_nonzero : region -> off:int -> len:int -> int
-(** Index of the first nonzero byte of [\[off, off+len)], or [len] when
-    all are zero; one ["mem.read"] fault point, the examined prefix
-    charged.  Never allocates. *)
-
 val touch : region -> off:int -> len:int -> unit
 (** Explicitly charge a byte range (e.g. one logical field group read
     whose parts were already decoded). *)

@@ -50,6 +50,9 @@ let read_key t addr =
   let len = key_len t addr in
   Mem.read_bytes t.reg ~off:(addr + header_bytes) ~len
 
+let[@pklint.hot] read_key_into t addr ~len dst =
+  Mem.read_into t.reg ~off:(addr + header_bytes) ~dst ~dst_off:0 ~len
+
 let read_payload t addr =
   let klen = key_len t addr in
   let plen = payload_len t addr in
@@ -83,62 +86,3 @@ let[@pklint.hot] compare_key_bits t addr probe =
     let stored = Mem.read_u8 t.reg (addr + header_bytes + d) in
     let x = stored lxor Char.code (Bytes.get probe d) in
     Key.pack_sign (Key.packed_sign p) ((8 * d) + Pk_keys.Bitops.leading_zeros8 x)
-
-(* The partial-key encoder's difference: both keys are read in place,
-   so re-encoding copies no key out of the store. *)
-
-let[@pklint.hot] first_nonzero_from t addr ~len i =
-  i + Mem.first_nonzero t.reg ~off:(addr + header_bytes + i) ~len:(len - i)
-
-let[@pklint.hot] key_byte t addr i = Mem.read_u8 t.reg (addr + header_bytes + i)
-
-let[@pklint.hot] diff_keys t addr ~base ~bits =
-  let len = key_len t addr in
-  if base = null then begin
-    let i = first_nonzero_from t addr ~len 0 in
-    if not bits then i
-    else if i = len then 8 * len
-    else (8 * i) + Pk_keys.Bitops.leading_zeros8 (key_byte t addr i)
-  end
-  else begin
-    let blen = key_len t base in
-    let p =
-      Mem.compare_within t.reg ~off:(addr + header_bytes) ~len ~off2:(base + header_bytes)
-        ~len2:blen
-    in
-    let d = Key.packed_off p in
-    if Key.packed_sign p = 0 then invalid_arg "Record_store.diff_keys: key equals base";
-    if not bits then d
-    else if d < len && d < blen then
-      (8 * d) + Pk_keys.Bitops.leading_zeros8 (key_byte t addr d lxor key_byte t base d)
-    else begin
-      (* One key is a proper prefix of the other, and bits past the
-         end of a key read as zero: the difference is the longer key's
-         first nonzero bit past the common prefix. *)
-      let long = if len > blen then addr else base in
-      let long_len = if len > blen then len else blen in
-      let i = first_nonzero_from t long ~len:long_len d in
-      if i = long_len then invalid_arg "Record_store.diff_keys: key equals base";
-      (8 * i) + Pk_keys.Bitops.leading_zeros8 (key_byte t long i)
-    end
-  end
-
-(* The bytes spanning the bit range are read in one window, then
-   shifted left by the range's offset within its first byte. *)
-let[@pklint.hot] read_key_bits t addr ~first ~width ~dst ~dst_off ~dst_len =
-  let sh = first land 7 and w = (width + 7) / 8 in
-  Bytes.fill dst dst_off dst_len '\000';
-  if width > 0 then begin
-    Mem.read_into t.reg
-      ~off:(addr + header_bytes + (first lsr 3))
-      ~dst ~dst_off
-      ~len:((sh + width + 7) lsr 3);
-    if sh > 0 then
-      for j = dst_off to dst_off + w - 1 do
-        let hi = Bytes.get_uint8 dst j and lo = Bytes.get_uint8 dst (j + 1) in
-        Bytes.set_uint8 dst j (((hi lsl sh) lor (lo lsr (8 - sh))) land 0xff)
-      done;
-    let last = dst_off + w - 1 and tail = width land 7 in
-    if tail > 0 then Bytes.set_uint8 dst last (Bytes.get_uint8 dst last land (0xff lsl (8 - tail)));
-    Bytes.fill dst (dst_off + w) (dst_len - w) '\000'
-  end

@@ -42,6 +42,12 @@ val key_len : t -> int -> int
 val read_key : t -> int -> Pk_keys.Key.t
 (** Copy the full key out (charges the key bytes). *)
 
+val read_key_into : t -> int -> len:int -> bytes -> unit
+(** [read_key_into t addr ~len dst] copies the first [len] bytes of
+    record [addr]'s key into [dst] from offset 0, with one charged
+    read ([len] is at most {!key_len}; [dst] must hold it).  Never
+    allocates. *)
+
 val read_payload : t -> int -> bytes
 
 val count : t -> int
@@ -62,23 +68,3 @@ val compare_sign : t -> int -> Pk_keys.Key.t -> int
 val compare_key_bits : t -> int -> Pk_keys.Key.t -> int
 (** Same with the offset the first differing {e bit} (for
     bit-granularity partial keys). *)
-
-val diff_keys : t -> int -> base:int -> bits:bool -> int
-(** [diff_keys t addr ~base ~bits] is the offset of the first byte
-    ([bits = false]) or bit ([bits = true]) at which the key of record
-    [addr] differs from the key of record [base] — or, for [base =]
-    {!val:null}, from the all-zero key of the same length, giving the
-    key's length in units when it is all zero.  Bits past the end of a
-    key read as zero.  Both keys are compared in place: no copy, no
-    allocation, no dereference counted.
-    @raise Invalid_argument when the two keys are equal. *)
-
-val read_key_bits :
-  t -> int -> first:int -> width:int -> dst:bytes -> dst_off:int -> dst_len:int -> unit
-(** [read_key_bits t addr ~first ~width ~dst ~dst_off ~dst_len] copies
-    bits [\[first, first + width)] of record [addr]'s key into
-    [dst\[dst_off, dst_off + dst_len)], left-aligned, zero past them —
-    {!Pk_keys.Bitops.extract_bits} in place.  The bytes spanning the
-    range are read with one charged window read, so [dst_len] must
-    cover [width] rounded up to bytes plus one byte.  Never
-    allocates. *)

@@ -176,10 +176,7 @@ let test_blits_and_compare () =
   Alcotest.(check int) "unaligned probe offset" 8
     (Arena.equal_words a ~off (Bytes.of_string "__hello world") ~b_off:2 ~len:11);
   Alcotest.(check int) "out of bounds skips nothing" 0
-    (Arena.equal_words a ~off (Bytes.of_string "hello") ~b_off:0 ~len:11);
-  Arena.blit_from_bytes a ~src ~src_off:0 ~dst_off:(off + 16) ~len:11;
-  Alcotest.(check int) "within one arena" 8
-    (Arena.equal_words_within a ~off ~off2:(off + 16) ~len:11)
+    (Arena.equal_words a ~off (Bytes.of_string "hello") ~b_off:0 ~len:11)
 
 let test_blit_within_overlap () =
   let a = make () in

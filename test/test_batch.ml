@@ -230,19 +230,21 @@ let test_bulk_load_errors () =
       with Invalid_argument _ -> ())
     (registry @ makers)
 
-(* {2 Bulk-load encoder == reference encoder}
+(* {2 Partial-key encoder == reference encoder}
 
-   A bulk load encodes each partial key from the in-hand keys with
-   [Entries.encode_pk] instead of reading records.  Random key sets
-   stress its corners: lengths 1-24, keys that are proper prefixes of
-   others, zero bytes (alphabets 2-256 draw byte values from 0), the
-   all-zero key.  Under bit granularity bits past a key's end read as
-   zero, so a bit set keeps one key per zero-padded value (two keys
-   equal once padded have no difference bit).  Each loaded B-tree and
-   T-tree must validate — [validate] re-derives every stored field with
-   the reference encoder — and, field by field, [encode_pk] must write
-   the bytes the record-reading [fix_pk] writes and decode to
-   [Partial_key.encode]'s output. *)
+   One encoder, [Entries.encode_pk], writes every partial key: a bulk
+   load passes it the in-hand keys, [fix_pk] the record keys it copies
+   into the tree's windows.  Random key sets stress its corners:
+   lengths 1-24, keys of 40-300 bytes (past the windows' initial 32, so
+   [fix_pk] grows them), keys that are proper prefixes of others, zero
+   bytes (alphabets 2-256 draw byte values from 0), the all-zero key.
+   Under bit granularity bits past a key's end read as zero, so a bit
+   set keeps one key per zero-padded value (two keys equal once padded
+   have no difference bit).  Each loaded B-tree and T-tree must
+   validate — [validate] re-derives every stored field with the
+   reference encoder — and, field by field, both the record-read field
+   ([fix_pk]) and the in-hand one must decode to [Partial_key.encode]'s
+   output and hold the bytes of its field image. *)
 
 module Partial_key = Pk_partialkey.Partial_key
 module Engine = Pk_core.Engine
@@ -277,7 +279,17 @@ let random_key_set rng ~bits =
       (List.filteri (fun i _ -> i mod 3 = 0) base)
   in
   let zeros = [ Bytes.make (1 + Prng.int rng 24) '\000' ] in
-  let keys = List.sort_uniq Key.compare (zeros @ base @ derived) in
+  (* Long keys, each with a long proper prefix and a zero extension:
+     consecutive pairs change length, so a window read of a stale
+     length shows. *)
+  let long =
+    List.concat_map
+      (fun k ->
+        let len = Bytes.length k in
+        [ k; Bytes.sub k 0 (33 + Prng.int rng (len - 33)); Bytes.cat k (Bytes.make 1 '\000') ])
+      (List.init (2 + Prng.int rng 6) (fun _ -> rand_key (40 + Prng.int rng 261)))
+  in
+  let keys = List.sort_uniq Key.compare (zeros @ long @ base @ derived) in
   let keys =
     if not bits then keys
     else begin
@@ -305,8 +317,19 @@ let check_fields ~granularity ~l_bytes keys =
   in
   let esz = Layout.entry_size scheme in
   let via_records = Mem.alloc reg (2 * esz) and in_hand = Mem.alloc reg (2 * esz) in
+  let reference = Mem.alloc reg (2 * esz) in
   let field node i =
     Mem.read_bytes reg ~off:(Engine.Entries.entry_addr c node i + 8) ~len:(4 + l_bytes)
+  in
+  (* The reference field written as an image: its units, zero past
+     them. *)
+  let image = Bytes.create (Layout.pk_image_bytes ~l_bytes) in
+  let write_reference i (e : Partial_key.t) =
+    Bytes.fill image 0 (Bytes.length image) '\000';
+    Bytes.blit e.Partial_key.pk_bits 0 image Layout.pk_image_units
+      (Bytes.length e.Partial_key.pk_bits);
+    Layout.write_pk_image reg (Engine.Entries.entry_addr c reference i) ~image
+      ~pk_off:e.Partial_key.pk_off ~pk_len:e.Partial_key.pk_len ~l_bytes
   in
   let rids = Array.map (fun k -> Record_store.insert records ~key:k ~payload:Bytes.empty) keys in
   let expect_field what node i (e : Partial_key.t) =
@@ -317,14 +340,17 @@ let check_fields ~granularity ~l_bytes keys =
       || not (Bytes.equal got.Partial_key.pk_bits e.Partial_key.pk_bits)
     then Alcotest.failf "%s: field differs from the reference encoder" what
   in
-  let same_bytes what =
+  let check_entry what i (e : Partial_key.t) =
+    write_reference i e;
     List.iter
-      (fun i ->
-        if not (Bytes.equal (field via_records i) (field in_hand i)) then
-          Alcotest.failf "%s: entry %d bytes %S (records) vs %S (in hand)" what i
-            (Bytes.to_string (field via_records i))
-            (Bytes.to_string (field in_hand i)))
-      [ 0; 1 ]
+      (fun (side, node) ->
+        let what = Printf.sprintf "%s, entry %d (%s)" what i side in
+        expect_field what node i e;
+        if not (Bytes.equal (field node i) (field reference i)) then
+          Alcotest.failf "%s: bytes %S, reference image %S" what
+            (Bytes.to_string (field node i))
+            (Bytes.to_string (field reference i)))
+      [ ("records", via_records); ("in hand", in_hand) ]
   in
   let pair b k =
     let what = Printf.sprintf "key %s base %s" (Key.to_hex keys.(k)) (Key.to_hex keys.(b)) in
@@ -332,13 +358,14 @@ let check_fields ~granularity ~l_bytes keys =
     Engine.Entries.write_entry c via_records 1 ~key:keys.(k) ~rid:rids.(k);
     Engine.Entries.fix_pk c via_records 0 ~n:2 ~base:Engine.null;
     Engine.Entries.fix_pk c via_records 1 ~n:2 ~base:Engine.null;
-    Engine.Entries.encode_pk_initial c in_hand 0 keys.(b);
-    let s = Engine.Entries.encode_pk c in_hand 1 keys.(k) ~base:keys.(b) in
+    Engine.Entries.encode_pk_initial c in_hand 0 keys.(b) ~len:(Bytes.length keys.(b));
+    let s =
+      Engine.Entries.encode_pk c in_hand 1 keys.(k) ~len:(Bytes.length keys.(k)) ~base:keys.(b)
+        ~base_len:(Bytes.length keys.(b))
+    in
     if s <> compare (Key.compare keys.(k) keys.(b)) 0 then Alcotest.failf "%s: sign %d" what s;
-    same_bytes what;
-    expect_field what in_hand 0 (Partial_key.encode_initial granularity ~l_bytes ~key:keys.(b));
-    expect_field what in_hand 1
-      (Partial_key.encode granularity ~l_bytes ~base:keys.(b) ~key:keys.(k))
+    check_entry what 0 (Partial_key.encode_initial granularity ~l_bytes ~key:keys.(b));
+    check_entry what 1 (Partial_key.encode granularity ~l_bytes ~base:keys.(b) ~key:keys.(k))
   in
   let n = Array.length keys in
   for i = 1 to n - 1 do

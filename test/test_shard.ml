@@ -338,6 +338,9 @@ let test_concurrent_readers () =
   let keys = Support.sorted_keys ~seed:21 ~key_len ~alphabet 400 in
   let ops, entries = load eng records keys in
   let stop = Atomic.make false in
+  (* Readers that have made their first read: the writer waits for
+     both, so its rounds cannot finish before a reader runs. *)
+  let started = Atomic.make 0 in
   let spawn_reader seed =
     Domain.spawn (fun () ->
         let rd = Shard.Engine.reader ~seed eng in
@@ -356,6 +359,7 @@ let test_concurrent_readers () =
                   rid
                 :: !bad);
           incr reads;
+          if !reads = 1 then Atomic.incr started;
           incr i
         done;
         let restarts = Shard.Engine.restarts rd in
@@ -363,6 +367,9 @@ let test_concurrent_readers () =
         (!reads, restarts, !bad))
   in
   let readers = [ spawn_reader 101; spawn_reader 202 ] in
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
+  done;
   (* the writer churns foreign keys only: the frozen population the
      readers check is never touched *)
   for round = 1 to 400 do
